@@ -9,7 +9,6 @@ import (
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
 	"lpltsp/internal/rng"
-	"lpltsp/internal/service"
 	"lpltsp/internal/tsp"
 )
 
@@ -25,7 +24,7 @@ import (
 //
 // BenchmarkServeThroughput measures the same pattern end-to-end through
 // the live HTTP handler (decode → admit → solve → encode) via the
-// in-process load driver.
+// load-* scenarios.
 
 // contentionPool builds the instance working set: distinct graphs large
 // enough that per-request fingerprint/key work is visible, solved once so
@@ -80,36 +79,20 @@ func BenchmarkCacheContention(b *testing.B) {
 func BenchmarkServeThroughput(b *testing.B) {
 	// Sub-benchmark names are load-bearing: BENCH_PR5/PR6 compare
 	// "clients=%d" runs across commits, so the full-body JSON runs keep
-	// their bare names and the new traffic modes get prefixed ones.
-	run := func(b *testing.B, cfg LoadConfig) {
-		b.ReportAllocs()
-		cfg.Requests = b.N
-		cfg.Server = &service.Config{QueueDepth: 1 << 20}
-		rep, err := RunLoad(cfg)
-		if err != nil {
-			b.Fatal(err)
+	// their bare names and the other traffic modes get prefixed ones.
+	for _, mode := range []struct{ prefix, scenario string }{
+		{"", "load-json"}, {"graphref/", "load-graphref"}, {"binary/", "load-binary"},
+	} {
+		for _, clients := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%sclients=%d", mode.prefix, clients), func(b *testing.B) {
+				b.ReportAllocs()
+				s := scenario(b, mode.scenario)
+				s.Clients, s.Requests, s.Distinct, s.N = clients, b.N, 16, 64
+				s.Server.QueueDepth = 1 << 20
+				rep := mustRun(b, s)
+				b.ReportMetric(rep.Throughput, "req/s")
+				b.ReportMetric(rep.Metrics["bytesPerReq"], "wire-B/req")
+			})
 		}
-		if rep.Errors > 0 {
-			b.Fatalf("%d load errors", rep.Errors)
-		}
-		b.ReportMetric(rep.Throughput, "req/s")
-		b.ReportMetric(rep.BytesPerReq, "wire-B/req")
-	}
-	core.ResetSolveCache()
-	defer core.ResetSolveCache()
-	for _, clients := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			run(b, LoadConfig{Clients: clients, Distinct: 16, N: 64})
-		})
-	}
-	for _, clients := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("graphref/clients=%d", clients), func(b *testing.B) {
-			run(b, LoadConfig{Clients: clients, Distinct: 16, N: 64, GraphRef: true})
-		})
-	}
-	for _, clients := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("binary/clients=%d", clients), func(b *testing.B) {
-			run(b, LoadConfig{Clients: clients, Distinct: 16, N: 64, Wire: "binary"})
-		})
 	}
 }

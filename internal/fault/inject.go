@@ -108,63 +108,83 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
-// Injector executes a Plan. Sites draw independent deterministic
-// sequences: visit v at site s fires iff splitmix64(seed^fnv(s), v) maps
-// under Rate, so two runs with the same seed inject the same faults at
-// the same visits regardless of goroutine interleaving.
-type Injector struct {
-	plan   Plan
+// siteDraw is the seeded per-(site, visit) decision both injectors
+// share: visit v at site s fires iff splitmix64(seed^fnv(s)^(v·φ64))
+// maps under rate, and a second scramble of the same hash picks the
+// kind, so two runs with the same seed fault the same visits in the same
+// way regardless of goroutine interleaving.
+type siteDraw[K interface {
+	~uint8
+	String() string
+}] struct {
+	seed   uint64
+	rate   float64
+	kinds  []K             // the flavors drawn from
 	sites  map[string]bool // nil = all sites armed
 	visits sync.Map        // site -> *atomic.Uint64 visit counter
-	fired  [kindCount]atomic.Int64
+	fired  []atomic.Int64  // per kind value
 }
 
-// NewInjector compiles a Plan.
-func NewInjector(plan Plan) *Injector {
-	inj := &Injector{plan: plan.withDefaults()}
-	if len(plan.Sites) > 0 {
-		inj.sites = make(map[string]bool, len(plan.Sites))
-		for _, s := range plan.Sites {
-			inj.sites[s] = true
+func (d *siteDraw[K]) init(seed uint64, rate float64, sites []string, kinds []K, kindCount K) {
+	d.seed, d.rate, d.kinds = seed, rate, kinds
+	d.fired = make([]atomic.Int64, kindCount)
+	if len(sites) > 0 {
+		d.sites = make(map[string]bool, len(sites))
+		for _, s := range sites {
+			d.sites[s] = true
 		}
 	}
-	return inj
 }
 
-// Fired returns how many faults of each kind this injector executed.
-func (inj *Injector) Fired() map[string]int64 {
-	m := make(map[string]int64, kindCount)
-	for k := Kind(0); k < kindCount; k++ {
-		if n := inj.fired[k].Load(); n > 0 {
-			m[k.String()] = n
+// visit draws the decision for one visit to site: whether to fault, and
+// with which kind. Exposed unexported for determinism tests.
+func (d *siteDraw[K]) visit(site string) (K, uint64, bool) {
+	if d.sites != nil && !d.sites[site] {
+		return 0, 0, false
+	}
+	cv, _ := d.visits.LoadOrStore(site, new(atomic.Uint64))
+	v := cv.(*atomic.Uint64).Add(1)
+	h := splitmix64(d.seed ^ fnvHash(site) ^ (v * 0x9e3779b97f4a7c15))
+	// Top 53 bits → uniform float in [0,1).
+	u := float64(h>>11) / (1 << 53)
+	if u >= d.rate {
+		return 0, v, false
+	}
+	// A second scramble picks the kind, so kind choice is uncorrelated
+	// with the fire decision.
+	k := d.kinds[splitmix64(h)%uint64(len(d.kinds))]
+	d.fired[k].Add(1)
+	return k, v, true
+}
+
+// Fired returns how many faults of each kind were drawn to fire (every
+// drawn fault is executed at once by its caller).
+func (d *siteDraw[K]) Fired() map[string]int64 {
+	m := make(map[string]int64, len(d.fired))
+	for k := range d.fired {
+		if n := d.fired[k].Load(); n > 0 {
+			m[K(k).String()] = n
 		}
 	}
 	return m
 }
 
-// visit draws the decision for one visit to site: whether to fault, and
-// with which kind. Exposed unexported for determinism tests.
-func (inj *Injector) visit(site string) (Kind, uint64, bool) {
-	if inj.sites != nil && !inj.sites[site] {
-		return 0, 0, false
-	}
-	cv, _ := inj.visits.LoadOrStore(site, new(atomic.Uint64))
-	v := cv.(*atomic.Uint64).Add(1)
-	h := splitmix64(inj.plan.Seed ^ fnvHash(site) ^ (v * 0x9e3779b97f4a7c15))
-	// Top 53 bits → uniform float in [0,1).
-	u := float64(h>>11) / (1 << 53)
-	if u >= inj.plan.Rate {
-		return 0, v, false
-	}
-	// A second scramble picks the kind, so kind choice is uncorrelated
-	// with the fire decision.
-	k := inj.plan.Kinds[splitmix64(h)%uint64(len(inj.plan.Kinds))]
-	return k, v, true
+// Injector executes a Plan. Sites draw independent deterministic
+// sequences (see siteDraw).
+type Injector struct {
+	plan Plan
+	siteDraw[Kind]
+}
+
+// NewInjector compiles a Plan.
+func NewInjector(plan Plan) *Injector {
+	inj := &Injector{plan: plan.withDefaults()}
+	inj.init(inj.plan.Seed, inj.plan.Rate, inj.plan.Sites, inj.plan.Kinds, kindCount)
+	return inj
 }
 
 // execute runs one fault in the calling goroutine.
 func (inj *Injector) execute(ctx context.Context, site string, k Kind, v uint64) {
-	inj.fired[k].Add(1)
 	switch k {
 	case KindPanic:
 		panic(Injected{Site: site, Visit: v})

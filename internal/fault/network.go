@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -119,50 +117,15 @@ func (d Dropped) Error() string {
 // transports. Sites draw independent deterministic sequences exactly
 // like Injector's.
 type NetInjector struct {
-	plan   NetPlan
-	sites  map[string]bool // nil = all sites armed
-	visits sync.Map        // site -> *atomic.Uint64 visit counter
-	fired  [netKindCount]atomic.Int64
+	plan NetPlan
+	siteDraw[NetKind]
 }
 
 // NewNetInjector compiles a NetPlan.
 func NewNetInjector(plan NetPlan) *NetInjector {
 	inj := &NetInjector{plan: plan.withDefaults()}
-	if len(plan.Sites) > 0 {
-		inj.sites = make(map[string]bool, len(plan.Sites))
-		for _, s := range plan.Sites {
-			inj.sites[s] = true
-		}
-	}
+	inj.init(inj.plan.Seed, inj.plan.Rate, inj.plan.Sites, inj.plan.Kinds, netKindCount)
 	return inj
-}
-
-// Fired returns how many faults of each kind this injector executed.
-func (inj *NetInjector) Fired() map[string]int64 {
-	m := make(map[string]int64, netKindCount)
-	for k := NetKind(0); k < netKindCount; k++ {
-		if n := inj.fired[k].Load(); n > 0 {
-			m[k.String()] = n
-		}
-	}
-	return m
-}
-
-// visit draws the decision for one request through site. Unexported for
-// determinism tests, mirroring Injector.visit.
-func (inj *NetInjector) visit(site string) (NetKind, uint64, bool) {
-	if inj.sites != nil && !inj.sites[site] {
-		return 0, 0, false
-	}
-	cv, _ := inj.visits.LoadOrStore(site, new(atomic.Uint64))
-	v := cv.(*atomic.Uint64).Add(1)
-	h := splitmix64(inj.plan.Seed ^ fnvHash(site) ^ (v * 0x9e3779b97f4a7c15))
-	u := float64(h>>11) / (1 << 53)
-	if u >= inj.plan.Rate {
-		return 0, v, false
-	}
-	k := inj.plan.Kinds[splitmix64(h)%uint64(len(inj.plan.Kinds))]
-	return k, v, true
 }
 
 // Wrap returns a FaultyDoer injecting this plan's faults at the named
@@ -186,7 +149,6 @@ func (fd *FaultyDoer) Do(req *http.Request) (*http.Response, error) {
 	if !fire {
 		return fd.next.Do(req)
 	}
-	fd.inj.fired[k].Add(1)
 	ctx := req.Context()
 	switch k {
 	case NetDrop:
