@@ -34,19 +34,17 @@
 // or wedging is quarantined after -quarantine failures (422, code
 // "quarantined") until -quarantine-ttl elapses.
 //
-// Cluster modes (see the README's "Scaling out"):
+// Cluster node mode (see the README's "Scaling out"; cmd/lplrouter is
+// the router that fronts such nodes):
 //
-//	lplserve -route -backends b0=http://...,b1=http://...
-//	    run as a consistent-hash router over the named backends instead
-//	    of solving locally (same routing core as cmd/lplrouter)
 //	lplserve -self b0 -peers b0=http://...,b1=http://...
 //	    run as one node of a peer-filled cluster: this process gets its
 //	    own solve cache with the other members installed as an L2, so an
 //	    L1 miss on a graph another node owns is forwarded there instead
 //	    of solved twice
 //
-// Both modes hash ring member NAMES with -seed and -vnodes; every
-// process in one cluster must agree on all three. -pprof exposes
+// The ring hashes member NAMES with -seed and -vnodes; every process in
+// one cluster must agree on all three. -pprof exposes
 // net/http/pprof under /debug/pprof/ (off by default).
 package main
 
@@ -117,25 +115,14 @@ func buildServer(args []string, errOut io.Writer) (*http.Server, *log.Logger, er
 		quarantine      = fs.Int("quarantine", 0, "quarantine an instance after this many containment failures (0 = default 3, negative = disabled)")
 		quarantineTTL   = fs.Duration("quarantine-ttl", 0, "quarantine sentence length and failure-memory window (0 = default 5m)")
 		watchdogGrace   = fs.Float64("watchdog-grace", 3, "force-fail solves still running at this multiple of their deadline (0 = watchdog disabled)")
-		route           = fs.Bool("route", false, "route to -backends over the ring instead of solving locally")
-		backendSpec     = fs.String("backends", "", "route mode: comma-separated name=url backends (names are the ring members)")
 		peerSpec        = fs.String("peers", "", "cluster node mode: every ring member as name=url, including this node")
 		self            = fs.String("self", "", "cluster node mode: this node's ring member name (required with -peers)")
 		vnodes          = fs.Int("vnodes", 0, "virtual nodes per ring member (0 = default); must match across the cluster")
 		ringSeed        = fs.Uint64("seed", 0, "ring placement seed; must match across the cluster")
 		pprofFlag       = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
-		probeInterval    = fs.Duration("probe-interval", time.Second, "route mode: health prober tick; 0 disables active probing")
-		probeTimeout     = fs.Duration("probe-timeout", 0, "route mode: per-member probe bound (0 = interval/4, floored at 50ms)")
-		probeFail        = fs.Int("probe-fail", 3, "route mode: consecutive failed probes that eject a backend")
-		probeRecover     = fs.Int("probe-recover", 2, "route mode: consecutive successful probes that return an ejected backend")
-		breakerThreshold = fs.Int("breaker-threshold", 5, "route/peers mode: consecutive transport/gateway failures that open a circuit")
-		breakerCooldown  = fs.Duration("breaker-cooldown", 2*time.Second, "route/peers mode: open-circuit hold before a half-open probe")
-		retryAttempts    = fs.Int("retry-attempts", 3, "route mode: max backends tried per idempotent request")
-		attemptTimeout   = fs.Duration("attempt-timeout", 0, "route mode: per-attempt bound on one backend try (0 = request deadline only)")
-		retryBudget      = fs.Float64("retry-budget", 0.1, "route mode: retry tokens deposited per request")
-		hedge            = fs.Bool("hedge", false, "route mode: arm hedged sends for idempotent solves")
-		hedgeDelay       = fs.Duration("hedge-delay", 0, "route mode: hedge fire delay (0 = adaptive p95)")
+		breakerThreshold = fs.Int("breaker-threshold", 5, "peers mode: consecutive transport/gateway failures that open a circuit")
+		breakerCooldown  = fs.Duration("breaker-cooldown", 2*time.Second, "peers mode: open-circuit hold before a half-open probe")
 		fillTimeout      = fs.Duration("fill-timeout", cluster.DefaultFillTimeout, "peers mode: bound on one peer-fill consult (0 = caller's deadline only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -146,100 +133,62 @@ func buildServer(args []string, errOut io.Writer) (*http.Server, *log.Logger, er
 	}
 	logger := log.New(errOut, "lplserve: ", log.LstdFlags)
 
-	var handler http.Handler
-	switch {
-	case *route:
-		if *peerSpec != "" || *self != "" {
-			return nil, nil, fmt.Errorf("-route and -peers/-self are mutually exclusive (a router does not solve)")
-		}
-		bs, err := cluster.ParseBackends(*backendSpec)
-		if err != nil {
-			return nil, nil, err
-		}
-		rt, err := cluster.NewRouter(bs, cluster.RingConfig{VNodes: *vnodes, Seed: *ringSeed})
-		if err != nil {
-			return nil, nil, err
-		}
-		rt.ConfigureBreakers(cluster.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown})
-		rt.ConfigureRetry(cluster.RetryPolicy{
-			MaxAttempts:    *retryAttempts,
-			AttemptTimeout: *attemptTimeout,
-			BudgetRatio:    *retryBudget,
-		})
-		if *hedge {
-			rt.EnableHedge(*hedgeDelay)
-		}
-		if *probeInterval > 0 {
-			cluster.NewProber(rt, cluster.ProbeConfig{
-				Interval:         *probeInterval,
-				Timeout:          *probeTimeout,
-				FailThreshold:    *probeFail,
-				RecoverThreshold: *probeRecover,
-				Seed:             *ringSeed,
-			}).Start()
-		}
-		handler = rt
-	default:
-		if *backendSpec != "" {
-			return nil, nil, fmt.Errorf("-backends requires -route")
-		}
-		cfg := &lpltsp.ServeConfig{
-			Workers:             *workers,
-			QueueDepth:          *queue,
-			MaxDeadline:         *maxDeadline,
-			DefaultDeadline:     *defaultDeadline,
-			MaxVertices:         *maxVertices,
-			Sched:               *sched,
-			TenantQuota:         *tenantQuota,
-			GraphStoreCapacity:  *graphStore,
-			QuarantineThreshold: *quarantine,
-			QuarantineTTL:       *quarantineTTL,
-			WatchdogGrace:       *watchdogGrace,
-		}
-		switch {
-		case *peerSpec != "":
-			// Cluster node: an instance-scoped cache with the peers as L2,
-			// so misses on graphs another node owns are filled from there.
-			if *self == "" {
-				return nil, nil, fmt.Errorf("-peers requires -self (this node's ring member name)")
-			}
-			peers, err := cluster.ParseBackends(*peerSpec)
-			if err != nil {
-				return nil, nil, err
-			}
-			member := false
-			for _, p := range peers {
-				if p.Name == *self {
-					member = true
-					break
-				}
-			}
-			if !member {
-				return nil, nil, fmt.Errorf("-self %q is not among the -peers names (every node lists the full membership, itself included)", *self)
-			}
-			capacity := core.DefaultCacheCapacity
-			if *cacheCap > 0 {
-				capacity = *cacheCap
-			}
-			cache := core.NewSolveCache(capacity)
-			pf, err := cluster.NewPeerFill(*self, peers, cluster.RingConfig{VNodes: *vnodes, Seed: *ringSeed})
-			if err != nil {
-				return nil, nil, err
-			}
-			pf.SetBreakers(cluster.NewBreakerSet(cluster.BreakerConfig{
-				Threshold: *breakerThreshold,
-				Cooldown:  *breakerCooldown,
-			}))
-			pf.SetFillTimeout(*fillTimeout)
-			cache.SetL2(pf)
-			cfg.Cache = cache
-		case *self != "":
-			return nil, nil, fmt.Errorf("-self requires -peers")
-		case *cacheCap > 0:
-			lpltsp.SetCacheCapacity(*cacheCap)
-		}
-		handler = lpltsp.NewServeHandler(cfg)
+	cfg := &lpltsp.ServeConfig{
+		Workers:             *workers,
+		QueueDepth:          *queue,
+		MaxDeadline:         *maxDeadline,
+		DefaultDeadline:     *defaultDeadline,
+		MaxVertices:         *maxVertices,
+		Sched:               *sched,
+		TenantQuota:         *tenantQuota,
+		GraphStoreCapacity:  *graphStore,
+		QuarantineThreshold: *quarantine,
+		QuarantineTTL:       *quarantineTTL,
+		WatchdogGrace:       *watchdogGrace,
 	}
+	switch {
+	case *peerSpec != "":
+		// Cluster node: an instance-scoped cache with the peers as L2,
+		// so misses on graphs another node owns are filled from there.
+		if *self == "" {
+			return nil, nil, fmt.Errorf("-peers requires -self (this node's ring member name)")
+		}
+		peers, err := cluster.ParseBackends(*peerSpec)
+		if err != nil {
+			return nil, nil, err
+		}
+		member := false
+		for _, p := range peers {
+			if p.Name == *self {
+				member = true
+				break
+			}
+		}
+		if !member {
+			return nil, nil, fmt.Errorf("-self %q is not among the -peers names (every node lists the full membership, itself included)", *self)
+		}
+		capacity := core.DefaultCacheCapacity
+		if *cacheCap > 0 {
+			capacity = *cacheCap
+		}
+		cache := core.NewSolveCache(capacity)
+		pf, err := cluster.NewPeerFill(*self, peers, cluster.RingConfig{VNodes: *vnodes, Seed: *ringSeed})
+		if err != nil {
+			return nil, nil, err
+		}
+		pf.SetBreakers(cluster.NewBreakerSet(cluster.BreakerConfig{
+			Threshold: *breakerThreshold,
+			Cooldown:  *breakerCooldown,
+		}))
+		pf.SetFillTimeout(*fillTimeout)
+		cache.SetL2(pf)
+		cfg.Cache = cache
+	case *self != "":
+		return nil, nil, fmt.Errorf("-self requires -peers")
+	case *cacheCap > 0:
+		lpltsp.SetCacheCapacity(*cacheCap)
+	}
+	handler := lpltsp.NewServeHandler(cfg)
 	if *pprofFlag {
 		handler = cluster.WithPprof(handler)
 	}

@@ -175,16 +175,13 @@ func TestFaultFlagsAndReadyz(t *testing.T) {
 	}
 }
 
-// The cluster flags assemble the right handler shapes and reject the
+// The cluster node flags assemble a serving handler and reject the
 // incoherent combinations.
 func TestClusterModeFlags(t *testing.T) {
-	// Route mode without backends, node mode without its pair — all errors.
+	// Node mode without its pair, or with a self outside the ring — all errors.
 	for _, args := range [][]string{
-		{"-route"},
-		{"-backends", "b0=http://127.0.0.1:1"}, // -backends without -route
-		{"-peers", "b0=http://127.0.0.1:1"},    // -peers without -self
-		{"-self", "b0"},                        // -self without -peers
-		{"-route", "-backends", "b0=http://127.0.0.1:1", "-peers", "b0=http://127.0.0.1:1", "-self", "b0"},
+		{"-peers", "b0=http://127.0.0.1:1"},                   // -peers without -self
+		{"-self", "b0"},                                       // -self without -peers
 		{"-self", "ghost", "-peers", "b0=http://127.0.0.1:1"}, // self not a member
 	} {
 		if _, _, err := buildServer(args, io.Discard); err == nil {
@@ -209,28 +206,6 @@ func TestClusterModeFlags(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz in node mode: %d", resp.StatusCode)
-	}
-
-	// Route mode: the handler is a router, so /v1/stats is the router's.
-	srv2, _, err := buildServer(
-		[]string{"-addr", "127.0.0.1:0", "-route", "-backends", "b0=http://127.0.0.1:1"},
-		io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler)
-	defer ts2.Close()
-	resp, err = http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Members []string `json:"members"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil || len(st.Members) != 1 || st.Members[0] != "b0" {
-		t.Fatalf("route-mode stats: members=%v err=%v", st.Members, err)
 	}
 }
 

@@ -11,36 +11,18 @@ import "fmt"
 // of K_n has exactly n/2 edges, maximizing Σ(C−w) minimizes Σw, and
 // max-cardinality mode guarantees the matching is perfect.
 func MinWeightPerfect(n int, w func(i, j int) int64) (mate []int, total int64, err error) {
-	if n%2 != 0 {
-		return nil, 0, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
-	}
-	if n == 0 {
-		return nil, 0, nil
-	}
-	var maxW int64
 	edges := make([]Edge, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			wij := w(i, j)
-			if wij < 0 {
-				return nil, 0, fmt.Errorf("matching: negative weight w(%d,%d)=%d", i, j, wij)
-			}
-			if wij > maxW {
-				maxW = wij
-			}
-			edges = append(edges, Edge{i, j, wij})
+			edges = append(edges, Edge{i, j, w(i, j)})
 		}
 	}
-	for k := range edges {
-		edges[k].W = maxW - edges[k].W
+	if mate, err = minPerfect(n, edges); err != nil {
+		return nil, 0, err
 	}
-	mate = MaxWeightMatching(n, edges, true)
-	for v := 0; v < n; v++ {
-		if mate[v] < 0 {
-			return nil, 0, fmt.Errorf("matching: no perfect matching found (vertex %d unmatched)", v)
-		}
-		if v < mate[v] {
-			total += w(v, mate[v])
+	for v, u := range mate {
+		if v < u {
+			total += w(v, u)
 		}
 	}
 	return mate, total, nil
@@ -50,28 +32,9 @@ func MinWeightPerfect(n int, w func(i, j int) int64) (mate []int, total int64, e
 // explicit edge list (the graph need not be complete). Returns an error if
 // no perfect matching exists.
 func MinWeightPerfectSparse(n int, edges []Edge) (mate []int, total int64, err error) {
-	if n%2 != 0 {
-		return nil, 0, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
+	if mate, err = minPerfect(n, append([]Edge(nil), edges...)); err != nil {
+		return nil, 0, err
 	}
-	if n == 0 {
-		return nil, 0, nil
-	}
-	var maxW int64
-	for _, e := range edges {
-		if e.W < 0 {
-			return nil, 0, fmt.Errorf("matching: negative weight on edge {%d,%d}", e.I, e.J)
-		}
-		if e.W > maxW {
-			maxW = e.W
-		}
-	}
-	// Shift so that max-cardinality + max-weight prefers perfect matchings
-	// and minimizes original weight among them.
-	trans := make([]Edge, len(edges))
-	for k, e := range edges {
-		trans[k] = Edge{e.I, e.J, maxW - e.W}
-	}
-	mate = MaxWeightMatching(n, trans, true)
 	wOf := make(map[[2]int]int64, len(edges))
 	for _, e := range edges {
 		a, b := e.I, e.J
@@ -82,15 +45,44 @@ func MinWeightPerfectSparse(n int, edges []Edge) (mate []int, total int64, err e
 			wOf[[2]int{a, b}] = e.W
 		}
 	}
-	for v := 0; v < n; v++ {
-		if mate[v] < 0 {
-			return nil, 0, fmt.Errorf("matching: no perfect matching exists (vertex %d unmatched)", v)
-		}
-		if v < mate[v] {
-			total += wOf[[2]int{v, mate[v]}]
+	for v, u := range mate {
+		if v < u {
+			total += wOf[[2]int{v, u}]
 		}
 	}
 	return mate, total, nil
+}
+
+// minPerfect is the weight transform both entry points share. It rejects
+// odd n and negative weights, then rewrites every weight w in place to
+// maxW − w, so that maximum-weight maximum-cardinality matching prefers
+// perfect matchings and, among them, minimizes the original weight. It
+// errors when the result leaves a vertex unmatched; n = 0 yields a nil
+// mate.
+func minPerfect(n int, edges []Edge) ([]int, error) {
+	if n%2 != 0 {
+		return nil, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	var maxW int64
+	for _, e := range edges {
+		if e.W < 0 {
+			return nil, fmt.Errorf("matching: negative weight w(%d,%d)=%d", e.I, e.J, e.W)
+		}
+		maxW = max(maxW, e.W)
+	}
+	for k := range edges {
+		edges[k].W = maxW - edges[k].W
+	}
+	mate := MaxWeightMatching(n, edges, true)
+	for v, u := range mate {
+		if u < 0 {
+			return nil, fmt.Errorf("matching: no perfect matching exists (vertex %d unmatched)", v)
+		}
+	}
+	return mate, nil
 }
 
 // BruteForceMinPerfect computes a minimum-weight perfect matching by

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -37,20 +36,6 @@ const (
 	// the HTTP boundary (500).
 	codeHandlerPanic = "panic"
 )
-
-// failureCode classifies a solve error as a containment failure. Only
-// these feed the quarantine: applicability errors and client deadlines
-// are the request's business, not evidence of a poison instance.
-func failureCode(err error) string {
-	switch {
-	case errors.Is(err, core.ErrEnginePanic):
-		return codeEnginePanic
-	case errors.Is(err, core.ErrSolveStuck):
-		return codeStuckSolve
-	default:
-		return ""
-	}
-}
 
 // guardedWriter tracks whether any response bytes/headers were sent, so
 // the ServeHTTP recover boundary knows if a clean 500 is still possible.
@@ -123,22 +108,24 @@ func (s *Server) checkQuarantine(w http.ResponseWriter, key, itemCtx string) boo
 	return false
 }
 
-// recordFailure classifies a solve error, bumps the fault counters, and
-// feeds the quarantine. Returns the error code for the response body.
-func (s *Server) recordFailure(key string, err error) string {
-	code := failureCode(err)
+// recordFailure counts a failed job and feeds containment failures
+// (engine panics, watchdog kills) to their counters and the quarantine.
+// Only these are evidence of a poison instance: applicability errors and
+// client deadlines are the request's business.
+func (s *Server) recordFailure(key string, err error) {
+	s.failed.Add(1)
+	_, code := errorReply(err)
 	switch code {
 	case codeEnginePanic:
 		s.enginePanics.Add(1)
 	case codeStuckSolve:
 		s.stuckSolves.Add(1)
 	default:
-		return ""
+		return
 	}
 	if s.quarantine != nil {
 		s.quarantine.Record(key, code)
 	}
-	return code
 }
 
 // observeServiceTime folds one completed solve's wall time into the
@@ -178,12 +165,6 @@ func (s *Server) retryAfterSeconds() int {
 		secs = 30
 	}
 	return secs
-}
-
-// reject429 writes the backpressure response with the computed hint.
-func (s *Server) reject429(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	jsonError(w, http.StatusTooManyRequests, format, args...)
 }
 
 // notReadyReason decides /readyz: non-empty means a load balancer should

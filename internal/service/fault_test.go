@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -402,6 +403,37 @@ func TestObserveServiceTimeEWMA(t *testing.T) {
 	s.observeServiceTime(0) // clamps to 1ns, still moves the average down
 	if got := s.ewmaNs.Load(); got >= int64(800*time.Millisecond) || got <= 0 {
 		t.Fatalf("EWMA did not decay: %d", got)
+	}
+}
+
+// errorReply is the one status/code table: each kind maps to what the
+// handlers served before it existed, bare or wrapped the way the
+// scheduler and the solver return it.
+func TestErrorReply(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{errQueueFull, http.StatusTooManyRequests, ""},
+		{errTenantQuota, http.StatusTooManyRequests, codeTenantQuota},
+		{errInfeasible, http.StatusTooManyRequests, codeInfeasible},
+		{errShed, http.StatusTooManyRequests, codeShed},
+		{context.Canceled, http.StatusRequestTimeout, ""},
+		{context.DeadlineExceeded, http.StatusRequestTimeout, ""},
+		{core.ErrSolveStuck, http.StatusRequestTimeout, codeStuckSolve},
+		{core.ErrEnginePanic, http.StatusInternalServerError, codeEnginePanic},
+		{core.ErrDisconnected, http.StatusUnprocessableEntity, ""},
+		{core.ErrDiameterExceedsK, http.StatusUnprocessableEntity, ""},
+		{core.ErrConditionViolated, http.StatusUnprocessableEntity, ""},
+		{core.ErrMethodNotApplicable, http.StatusUnprocessableEntity, ""},
+		{errors.New("plain"), http.StatusInternalServerError, ""},
+	} {
+		for _, err := range []error{tc.err, fmt.Errorf("wrapped: %w", tc.err)} {
+			if status, code := errorReply(err); status != tc.status || code != tc.code {
+				t.Errorf("errorReply(%v) = %d %q, want %d %q", err, status, code, tc.status, tc.code)
+			}
+		}
 	}
 }
 

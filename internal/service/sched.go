@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +44,8 @@ import (
 // with machine-readable codes.
 var (
 	errQueueFull   = errors.New("admission queue full")
-	errTenantQuota = errors.New("tenant over quota")
-	errInfeasible  = errors.New("predicted service time exceeds the deadline budget")
+	errTenantQuota = errors.New("over quota")
+	errInfeasible  = errors.New("queue full and the request provably cannot meet its deadline (predicted service time exceeds the budget)")
 	errShed        = errors.New("shed while queued: deadline no longer feasible")
 )
 
@@ -169,7 +170,7 @@ func (sc *scheduler) admit(tenant string, specs []jobSpec) ([]*schedJob, error) 
 		if ts.inSystem+n > sc.quota {
 			ts.rejected += int64(n)
 			sc.quotaRejs.Add(1)
-			return nil, errTenantQuota
+			return nil, fmt.Errorf("tenant %q %w: at most %d jobs in system per tenant", tenant, errTenantQuota, sc.quota)
 		}
 	}
 
@@ -201,7 +202,7 @@ func (sc *scheduler) admit(tenant string, specs []jobSpec) ([]*schedJob, error) 
 		if ts != nil {
 			ts.rejected += int64(n)
 		}
-		return nil, errQueueFull
+		return nil, fmt.Errorf("%w (%d jobs in system)", errQueueFull, sc.depth)
 	}
 
 	jobs := make([]*schedJob, n)

@@ -407,21 +407,18 @@ func missedDeadline(deadline time.Time, err error) bool {
 	return time.Now().After(deadline)
 }
 
-// rejectAdmission maps a scheduler admission error onto its 429
-// response. All n jobs were turned away, so all n count as rejected.
-func (s *Server) rejectAdmission(w http.ResponseWriter, err error, tenant string, n int) {
-	s.rejected.Add(int64(n))
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	switch {
-	case errors.Is(err, errTenantQuota):
-		jsonErrorCode(w, http.StatusTooManyRequests, codeTenantQuota,
-			"tenant %q over quota: at most %d jobs in system per tenant", tenant, s.sched.quota)
-	case errors.Is(err, errInfeasible):
-		jsonErrorCode(w, http.StatusTooManyRequests, codeInfeasible,
-			"queue full and the request provably cannot meet its deadline (predicted service time exceeds the budget)")
-	default:
-		s.reject429(w, "admission queue full (%d jobs in system)", s.cfg.QueueDepth)
+// admit claims queue capacity for every spec (a solo request has one)
+// or, when the scheduler refuses, writes the 429 and counts all of them
+// as rejected.
+func (s *Server) admit(w http.ResponseWriter, tenant string, specs []jobSpec) ([]*schedJob, bool) {
+	jobs, err := s.sched.admit(tenant, specs)
+	if err != nil {
+		s.rejected.Add(int64(len(specs)))
+		s.replyError(w, err, "%v", err)
+		return nil, false
 	}
+	s.admitted.Add(int64(len(jobs)))
+	return jobs, true
 }
 
 // jsonError writes a JSON error body with the given status.
@@ -457,25 +454,47 @@ const (
 	codeShed = "shed"
 )
 
-// solveStatus maps a solver error to an HTTP status: context errors are
-// the client's deadline (408) or disconnect — as is a watchdog
-// force-fail, which is the deadline enforced against a non-cooperative
-// engine; typed applicability errors (a pinned method whose hypotheses
-// fail) are the request's fault (422); everything else — contained
-// engine panics included — is a 500.
-func solveStatus(err error) int {
+// errorReply maps an admission, scheduling or solver error onto the
+// status and code it is served with; every such error response and
+// every batch error line goes through it. A watchdog force-fail is the
+// deadline enforced against an engine that ignored cancellation, so it
+// answers 408 like the client's own deadline or disconnect; an
+// applicability error (a pinned method whose hypotheses fail) is the
+// request's fault.
+func errorReply(err error) (status int, code string) {
 	switch {
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, core.ErrSolveStuck):
-		return http.StatusRequestTimeout
+	case errors.Is(err, errQueueFull):
+		return http.StatusTooManyRequests, ""
+	case errors.Is(err, errTenantQuota):
+		return http.StatusTooManyRequests, codeTenantQuota
+	case errors.Is(err, errInfeasible):
+		return http.StatusTooManyRequests, codeInfeasible
+	case errors.Is(err, errShed):
+		return http.StatusTooManyRequests, codeShed
+	case errors.Is(err, core.ErrSolveStuck):
+		return http.StatusRequestTimeout, codeStuckSolve
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusRequestTimeout, ""
+	case errors.Is(err, core.ErrEnginePanic):
+		return http.StatusInternalServerError, codeEnginePanic
 	case errors.Is(err, core.ErrDisconnected),
 		errors.Is(err, core.ErrDiameterExceedsK),
 		errors.Is(err, core.ErrConditionViolated),
 		errors.Is(err, core.ErrMethodNotApplicable):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
+		return http.StatusUnprocessableEntity, ""
 	}
+	return http.StatusInternalServerError, ""
+}
+
+// replyError writes err's error response: the status and code errorReply
+// maps it to, the message built from format and args, and on a 429 the
+// Retry-After hint computed from the drain schedule.
+func (s *Server) replyError(w http.ResponseWriter, err error, format string, args ...any) {
+	status, code := errorReply(err)
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	}
+	jsonErrorCode(w, status, code, format, args...)
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
@@ -694,13 +713,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	tenant := tenantOf(r, req.Tenant)
 	spec := s.jobSpecFor(time.Now(), &req, opts)
-	jobs, err := s.sched.admit(tenant, []jobSpec{spec})
-	if err != nil {
-		s.rejectAdmission(w, err, tenant, 1)
+	jobs, ok := s.admit(w, tenant, []jobSpec{spec})
+	if !ok {
 		return
 	}
 	j := jobs[0]
-	s.admitted.Add(1)
 	defer s.sched.finish(j)
 
 	// Wait in the ready queue for a worker slot (earliest deadline
@@ -709,11 +726,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// deadline becomes provably unmeetable.
 	if err := s.sched.acquire(r.Context(), j); err != nil {
 		if errors.Is(err, errShed) {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			jsonErrorCode(w, http.StatusTooManyRequests, codeShed, "shed while queued: %v", err)
-			return
+			s.replyError(w, err, "shed while queued: %v", err)
+		} else {
+			s.replyError(w, err, "client went away while queued")
 		}
-		jsonError(w, http.StatusRequestTimeout, "client went away while queued")
 		return
 	}
 
@@ -728,8 +744,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.observeRequestCost(&req, elapsed, err)
 	s.sched.complete(j, missedDeadline(spec.deadline, err), err != nil)
 	if err != nil {
-		s.failed.Add(1)
-		jsonErrorCode(w, solveStatus(err), s.recordFailure(qkey, err), "solve failed: %v", err)
+		s.recordFailure(qkey, err)
+		s.replyError(w, err, "solve failed: %v", err)
 		return
 	}
 	s.solved.Add(1)
@@ -833,12 +849,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Items {
 		specs[i] = s.jobSpecFor(now, &req.Items[i], itemOpts[i])
 	}
-	jobs, err := s.sched.admit(tenant, specs)
-	if err != nil {
-		s.rejectAdmission(w, err, tenant, len(req.Items))
+	jobs, ok := s.admit(w, tenant, specs)
+	if !ok {
 		return
 	}
-	s.admitted.Add(int64(len(jobs)))
 	// Finish is idempotent, so the unconditional sweep settles whatever
 	// the stream loop below did not: items the cancelled intake never
 	// handed to a worker, and items whose results were consumed already.
@@ -947,11 +961,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.sched.complete(jobs[idx], missedDeadline(specs[idx].deadline, br.Err), br.Err != nil)
 		}
 		if br.Err != nil {
-			s.failed.Add(1)
-			code := s.recordFailure(qkeys[idx], br.Err)
-			if errors.Is(br.Err, errShed) {
-				code = codeShed
-			}
+			s.recordFailure(qkeys[idx], br.Err)
+			_, code := errorReply(br.Err)
 			*line = SolveResponse{ID: br.ID, Code: code, Error: br.Err.Error()}
 		} else {
 			s.solved.Add(1)

@@ -25,20 +25,7 @@ func christofidesCycle(ctx context.Context, ins *Instance) (Tour, int64, error) 
 	if canceled(ctx) {
 		return nil, 0, ctx.Err()
 	}
-	parent, _ := mst.PrimDense(n, func(i, j int) int64 { return ins.Weight(i, j) })
-	deg := make([]int, n)
-	mg := euler.NewMultigraph(n)
-	for v := 1; v < n; v++ {
-		mg.AddEdge(v, parent[v])
-		deg[v]++
-		deg[parent[v]]++
-	}
-	var odd []int
-	for v := 0; v < n; v++ {
-		if deg[v]%2 == 1 {
-			odd = append(odd, v)
-		}
-	}
+	mg, odd := mstOdd(ins)
 	if len(odd) > 0 {
 		if canceled(ctx) {
 			return nil, 0, ctx.Err()
@@ -86,20 +73,7 @@ func christofidesPath(ctx context.Context, ins *Instance) (Tour, int64, error) {
 	if canceled(ctx) {
 		return nil, 0, ctx.Err()
 	}
-	parent, _ := mst.PrimDense(n, func(i, j int) int64 { return ins.Weight(i, j) })
-	deg := make([]int, n)
-	mg := euler.NewMultigraph(n)
-	for v := 1; v < n; v++ {
-		mg.AddEdge(v, parent[v])
-		deg[v]++
-		deg[parent[v]]++
-	}
-	var odd []int
-	for v := 0; v < n; v++ {
-		if deg[v]%2 == 1 {
-			odd = append(odd, v)
-		}
-	}
+	mg, odd := mstOdd(ins)
 	// A tree always has an even number ≥ 2 of odd-degree vertices.
 	// Matching instance: odd vertices plus two dummies D1, D2. Dummies
 	// connect to every odd vertex with weight 0; no dummy–dummy edge, so
@@ -148,6 +122,26 @@ func christofidesPath(ctx context.Context, ins *Instance) (Tour, int64, error) {
 	}
 	tour := shortcut(walk, n)
 	return tour, ins.PathCost(tour), nil
+}
+
+// mstOdd is the prelude both Christofides variants share: a minimum
+// spanning tree loaded into a fresh multigraph, and the tree's
+// odd-degree vertices in increasing order — the vertices the matching
+// stage must pair up.
+func mstOdd(ins *Instance) (*euler.Multigraph, []int) {
+	n := ins.n
+	parent, _ := mst.PrimDense(n, func(i, j int) int64 { return ins.Weight(i, j) })
+	mg := euler.NewMultigraph(n)
+	for v := 1; v < n; v++ {
+		mg.AddEdge(v, parent[v])
+	}
+	var odd []int
+	for v := 0; v < n; v++ {
+		if mg.Degree(v)%2 == 1 {
+			odd = append(odd, v)
+		}
+	}
+	return mg, odd
 }
 
 // shortcut removes repeated vertices from an Eulerian walk, keeping first
