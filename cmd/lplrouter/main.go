@@ -24,11 +24,12 @@
 // ring after -probe-fail consecutive failed /readyz probes and restores
 // them after -probe-recover successes; per-backend circuit breakers
 // (-breaker-threshold, -breaker-cooldown) skip a sick backend without
-// touching the wire; -hedge arms tail-latency hedged solve sends. GET
-// /v1/stats serves the router's own counters (including breaker and
-// health blocks); /readyz aggregates backend readiness (from the probe
-// snapshot when the prober is on). -pprof exposes net/http/pprof (off
-// by default).
+// touching the wire; -hedge arms tail-latency hedged sends for
+// full-body solves (a graphRef resolves only at its owner, so graphRef
+// solves are never hedged). GET /v1/stats serves the router's own
+// counters (including breaker and health blocks); /readyz aggregates
+// backend readiness (from the probe snapshot when the prober is on).
+// -pprof exposes net/http/pprof (off by default).
 package main
 
 import (
@@ -116,7 +117,7 @@ func buildRouter(args []string, errOut io.Writer) (*http.Server, *cluster.Router
 		attemptTimeout = fs.Duration("attempt-timeout", 0, "per-attempt bound on one backend try (0 = request deadline only)")
 		retryBudget    = fs.Float64("retry-budget", 0.1, "retry tokens deposited per request (SRE retry budget ratio)")
 
-		hedge      = fs.Bool("hedge", false, "arm hedged sends for idempotent solves")
+		hedge      = fs.Bool("hedge", false, "arm hedged sends for full-body solves (graphRef solves are never hedged: only the ref's owner can answer them)")
 		hedgeDelay = fs.Duration("hedge-delay", 0, "hedge fire delay (0 = adaptive p95 of observed solve latency)")
 	)
 	if err := fs.Parse(args); err != nil {

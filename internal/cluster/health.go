@@ -144,28 +144,38 @@ func NewProber(rt *Router, cfg ProbeConfig) *Prober {
 	return p
 }
 
-// probeOne performs one member's bounded /readyz round trip. Any
-// transport error, timeout, or non-200 is a failed probe.
-func (p *Prober) probeOne(ctx context.Context, name string) error {
-	b, ok := p.rt.backends[name]
-	if !ok {
-		return fmt.Errorf("no backend %q", name)
+// probe runs one /readyz round trip per named member, concurrently,
+// each bounded by timeout, and returns each member's failure: a
+// transport error, a timeout, or a non-200.
+func (rt *Router) probe(ctx context.Context, names []string, timeout time.Duration) []error {
+	one := func(name string) error {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://backend/readyz", nil)
+		if err != nil {
+			return err
+		}
+		resp, err := rt.backends[name].Doer.Do(req)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("not ready (status %d)", resp.StatusCode)
+		}
+		return nil
 	}
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://backend/readyz", nil)
-	if err != nil {
-		return err
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = one(name)
+		}()
 	}
-	resp, err := b.Doer.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("not ready (status %d)", resp.StatusCode)
-	}
-	return nil
+	wg.Wait()
+	return errs
 }
 
 // Tick runs one synchronous probe round: every member probed
@@ -174,16 +184,7 @@ func (p *Prober) probeOne(ctx context.Context, name string) error {
 // changed ring membership.
 func (p *Prober) Tick(ctx context.Context) bool {
 	names := p.rt.fullCfg.Members
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = p.probeOne(ctx, name)
-		}()
-	}
-	wg.Wait()
+	errs := p.rt.probe(ctx, names, p.cfg.Timeout)
 	p.probes.Add(1)
 
 	p.mu.Lock()

@@ -130,7 +130,7 @@ type breakerDoer struct {
 
 func (d breakerDoer) Do(req *http.Request) (*http.Response, error) {
 	resp, err := d.next.Do(req)
-	d.bs.Report(d.name, err == nil && !gatewayBad(resp.StatusCode))
+	d.bs.Report(d.name, !BreakerFailure(resp, err))
 	return resp, err
 }
 

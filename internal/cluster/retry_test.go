@@ -144,7 +144,7 @@ func mustSolveRef(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solveRef(req, solveBody)
+	ref, _, err := solveKey(req, solveBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +210,41 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	st := rt.Stats()
 	if st.Hedged != 1 || st.HedgeWins != 1 {
 		t.Fatalf("hedged/hedgeWins = %d/%d, want 1/1", st.Hedged, st.HedgeWins)
+	}
+}
+
+// TestGraphRefSolveNotHedged: a graphRef is interned only at its owner,
+// so a hedge to a successor could only draw a 404. Under the same slow
+// owner and hedge delay that make a full-body solve hedge, a graphRef
+// solve waits for the owner's answer and no successor is touched.
+func TestGraphRefSolveNotHedged(t *testing.T) {
+	ref := mustSolveRef(t)
+	doers := map[string]*scriptDoer{}
+	rt := scriptedRouter(t, func(name string) Doer {
+		d := &scriptDoer{status: http.StatusOK}
+		doers[name] = d
+		return d
+	})
+	owner := rt.Ring().Owner(ref)
+	doers[owner].delay = 300 * time.Millisecond
+	rt.ConfigureRetry(RetryPolicy{MaxAttempts: 3, AttemptTimeout: 2 * time.Second, BudgetRatio: 1})
+	rt.EnableHedge(10 * time.Millisecond)
+
+	resp, body := doJSON(t, rt, http.MethodPost, "/v1/solve", []byte(`{"graphRef":"`+ref+`","p":[2,1]}`))
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"span":4`) {
+		t.Fatalf("status %d (%s), want the owner's 200", resp.StatusCode, body)
+	}
+	if st := rt.Stats(); st.Hedged != 0 {
+		t.Fatalf("hedged = %d, want 0 for a graphRef solve", st.Hedged)
+	}
+	for name, d := range doers {
+		want := int64(0)
+		if name == owner {
+			want = 1
+		}
+		if got := d.hits.Load(); got != want {
+			t.Errorf("backend %s hit %d times, want %d (owner %s)", name, got, want, owner)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +52,7 @@ type Router struct {
 	// ConfigureRetry can swap both atomically under traffic.
 	retry atomic.Pointer[retryState]
 	lat   *latencyTracker
-	// hedgeOn arms hedged sends for idempotent solves; hedgeDelayNs is
+	// hedgeOn arms hedged sends for full-body solves; hedgeDelayNs is
 	// the fixed hedge delay (0 = adaptive p95 from lat).
 	hedgeOn      atomic.Bool
 	hedgeDelayNs atomic.Int64
@@ -185,10 +184,11 @@ func (rt *Router) ConfigureBreakers(cfg BreakerConfig) {
 // tests).
 func (rt *Router) Breakers() *BreakerSet { return rt.breakers }
 
-// EnableHedge arms hedged sends for idempotent solve forwards: when the
-// first attempt has not answered after the hedge delay, a second
-// attempt fires at the next live successor and the first clean response
-// wins. delay 0 means adaptive — the observed p95 attempt latency.
+// EnableHedge arms hedged sends for full-body solve forwards (graphRef
+// solves are never hedged; see handleSolve): when the first attempt has
+// not answered after the hedge delay, a second attempt fires at the
+// next live successor and the first clean response wins. delay 0 means
+// adaptive — the observed p95 attempt latency.
 func (rt *Router) EnableHedge(delay time.Duration) {
 	rt.hedgeDelayNs.Store(int64(delay))
 	rt.hedgeOn.Store(true)
@@ -288,80 +288,65 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// solveRef extracts the routing key from a /v1/solve body without fully
-// validating it: the graphRef when the request names one, otherwise the
-// inline graph's fingerprint. The body is forwarded verbatim either
+// solveKey extracts the routing key from a /v1/solve body without fully
+// validating it (see routingKey). The body is forwarded verbatim either
 // way — the owner performs real validation.
-func solveRef(r *http.Request, body []byte) (string, error) {
-	if strings.HasPrefix(strings.ToLower(r.Header.Get("Content-Type")), graph.BinaryContentType) {
-		g, _, err := graph.DecodeBinary(body)
+func solveKey(r *http.Request, body []byte) (key string, isRef bool, err error) {
+	if ct := graph.MediaType(r.Header.Get("Content-Type")); ct == graph.BinaryContentType {
+		g, _, err := graph.DecodeBody(ct, body)
 		if err != nil {
-			return "", fmt.Errorf("bad graph frame: %w", err)
+			return "", false, err
 		}
-		return intern.Ref(g), nil
+		return intern.Ref(g), false, nil
 	}
 	var req struct {
 		Graph    *graph.Graph `json:"graph"`
 		GraphRef string       `json:"graphRef"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		return "", fmt.Errorf("bad request body: %w", err)
+		return "", false, fmt.Errorf("bad request body: %w", err)
 	}
+	return routingKey(req.Graph, req.GraphRef, -1)
+}
+
+// routingKey returns the key one solve routes by: its graphRef when it
+// names one (isRef), otherwise the inline graph's fingerprint. item is
+// the solve's index in a batch, for the error text, or -1 for a
+// /v1/solve body.
+func routingKey(g *graph.Graph, ref string, item int) (key string, isRef bool, err error) {
 	switch {
-	case req.GraphRef != "":
-		if !intern.ValidRef(req.GraphRef) {
-			return "", fmt.Errorf("malformed graphRef %q", req.GraphRef)
-		}
-		return req.GraphRef, nil
-	case req.Graph != nil:
-		return intern.Ref(req.Graph), nil
-	default:
-		return "", fmt.Errorf("request names neither graph nor graphRef")
+	case ref != "" && intern.ValidRef(ref):
+		return ref, true, nil
+	case ref != "" && item < 0:
+		return "", false, fmt.Errorf("malformed graphRef %q", ref)
+	case ref != "":
+		return "", false, fmt.Errorf("item %d: malformed graphRef %q", item, ref)
+	case g != nil:
+		return intern.Ref(g), false, nil
+	case item < 0:
+		return "", false, fmt.Errorf("request names neither graph nor graphRef")
 	}
-}
-
-// gatewayBad reports whether a status is gateway-class (502/503/504):
-// "the node is not really there", as opposed to an application-level
-// answer like 429/422/408 that must reach the client untouched.
-func gatewayBad(status int) bool {
-	switch status {
-	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// attemptResult is one fully buffered backend response: attempts read
-// the body to completion under their own (cancellable) context so the
-// loser of a hedge or a timed-out straggler can be cancelled without
-// tearing a stream out from under the client.
-type attemptResult struct {
-	status int
-	header http.Header
-	body   []byte
+	return "", false, fmt.Errorf("item %d names neither graph nor graphRef", item)
 }
 
 // forward proxies one buffered request to the key's owner, walking the
-// ring's successor chain when retry is set (safe only for idempotent
-// requests). The walk is bounded three ways: the breaker set skips
+// ring's successor chain on failure (every forwarded request is
+// idempotent). The walk is bounded three ways: the breaker set skips
 // backends known sick, the retry policy caps attempts and charges each
 // retry against the token budget, and every attempt runs under its own
 // per-attempt timeout. Only transport failures and gateway-class
 // statuses move to a successor — any application-level answer (200,
 // 429, 422, 408, …) is the client's response, relayed untouched.
 // hedge additionally arms a tail-latency hedge on the first attempt.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte, retry, hedge bool) {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte, hedge bool) {
 	ring := rt.ring.Load()
 	chain := ring.Successors(key, len(ring.Members()))
-	if !retry {
-		chain = chain[:1]
-	}
 	st := rt.retry.Load()
 	st.budget.onRequest()
 	hedge = hedge && rt.hedgeOn.Load()
 
 	var lastErr error
-	var lastRes *attemptResult
+	var lastResp *http.Response
 	attempts := 0
 	for i, name := range chain {
 		if r.Context().Err() != nil {
@@ -382,47 +367,51 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			rt.retries.Add(1)
 		}
 		attempts++
-		var res *attemptResult
+		var resp *http.Response
 		var err error
 		if hedge && attempts == 1 && i+1 < len(chain) {
-			res, err = rt.attemptWithHedge(r, name, chain[i+1:], body, st.pol)
+			resp, err = rt.sendHedged(r, name, chain[i+1:], body, st.pol.AttemptTimeout)
 		} else {
-			res, err = rt.attempt(r.Context(), r, name, body, st.pol)
-			rt.breakers.Report(name, err == nil && !gatewayBad(res.status))
+			resp, err = rt.send(r.Context(), r, name, body, st.pol.AttemptTimeout, true)
 		}
 		if err != nil {
 			rt.deadBackends.Add(1)
 			lastErr = err
 			continue
 		}
-		if gatewayBad(res.status) {
-			lastRes, lastErr = res, fmt.Errorf("backend %s: status %d", name, res.status)
+		if BreakerFailure(resp, nil) {
+			lastResp, lastErr = resp, fmt.Errorf("backend %s: status %d", name, resp.StatusCode)
 			continue
 		}
-		rt.relayResult(w, res)
+		rt.relay(w, resp)
 		return
 	}
-	if lastRes != nil {
+	if lastResp != nil {
 		// Out of attempts with only gateway-class answers: the last one
 		// is more truthful than a synthesized error.
-		rt.relayResult(w, lastRes)
+		rt.relay(w, lastResp)
 		return
 	}
 	rt.routerError(w, http.StatusBadGateway, "no live backend for key %s: %v", key, lastErr)
 }
 
-// attempt performs one bounded, fully buffered round trip to a named
-// backend under its own per-attempt timeout (derived from ctx, which
-// also carries any hedge cancellation).
-func (rt *Router) attempt(ctx context.Context, r *http.Request, name string, body []byte, pol RetryPolicy) (*attemptResult, error) {
+// send is the router's one backend round trip: r's method, path and
+// headers with body, to the named backend under ctx — bounded by timeout
+// when positive — with the outcome reported to the backend's breaker.
+// A buffered send (a forwarded request) reads the whole response under
+// that bound, so the loser of a hedge or a timed-out straggler can be
+// cancelled without tearing a stream out from under the client, and a
+// 200 feeds the hedge delay's latency window. An unbuffered send (a
+// batch) returns the live body for the caller to stream or read.
+func (rt *Router) send(ctx context.Context, r *http.Request, name string, body []byte, timeout time.Duration, buffered bool) (*http.Response, error) {
 	b, ok := rt.backends[name]
 	if !ok {
 		return nil, fmt.Errorf("no backend %q", name)
 	}
 	parent := ctx
-	if pol.AttemptTimeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, r.Method, "http://backend"+r.URL.Path, bytes.NewReader(body))
@@ -433,46 +422,47 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, name string, bod
 	rt.sends[name].Add(1)
 	start := time.Now()
 	resp, err := b.Doer.Do(req)
+	if err == nil && buffered {
+		data, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		resp.Body = io.NopCloser(bytes.NewReader(data))
+		if rerr != nil {
+			err = fmt.Errorf("backend %s: reading response: %w", name, rerr)
+		}
+	}
+	rt.breakers.Report(name, !BreakerFailure(resp, err))
 	if err != nil {
 		if ctx.Err() != nil && parent.Err() == nil {
 			rt.attemptTimeouts.Add(1)
 		}
 		return nil, err
 	}
-	defer resp.Body.Close()
-	data, rerr := io.ReadAll(resp.Body)
-	if rerr != nil {
-		if ctx.Err() != nil && parent.Err() == nil {
-			rt.attemptTimeouts.Add(1)
-		}
-		return nil, fmt.Errorf("backend %s: reading response: %w", name, rerr)
-	}
 	rt.proxied.Add(1)
 	rt.perBackend[name].Add(1)
-	if resp.StatusCode == http.StatusOK {
+	if buffered && resp.StatusCode == http.StatusOK {
 		rt.lat.observe(time.Since(start))
 	}
-	return &attemptResult{status: resp.StatusCode, header: resp.Header.Clone(), body: data}, nil
+	return resp, nil
 }
 
 // defaultHedgeDelay is the hedge delay used until the latency tracker
 // has enough samples for an adaptive p95.
 const defaultHedgeDelay = 100 * time.Millisecond
 
-// attemptWithHedge runs the primary attempt and, if it has not answered
-// after the hedge delay, fires one hedge at the first breaker-admitted
-// successor. The primary is authoritative — whatever it answers (even a
-// 429) is relayed the moment it arrives, and the hedge is cancelled; a
-// hedge response short-circuits only when it is a clean 200, so a
-// non-owner's 404 or a busy successor's 429 can never mask the owner's
-// answer. Exactly one response is returned; the loser is cancelled.
-func (rt *Router) attemptWithHedge(r *http.Request, primary string, rest []string, body []byte, pol RetryPolicy) (*attemptResult, error) {
+// sendHedged runs the primary send and, if it has not answered after the
+// hedge delay, fires one hedge at the first breaker-admitted successor.
+// The primary is authoritative — whatever it answers (even a 429) is
+// relayed the moment it arrives, and the hedge is cancelled; a hedge
+// response short-circuits only when it is a clean 200, so a non-owner's
+// 404 or a busy successor's 429 can never mask the owner's answer.
+// Exactly one response is returned; the loser is cancelled.
+func (rt *Router) sendHedged(r *http.Request, primary string, rest []string, body []byte, timeout time.Duration) (*http.Response, error) {
 	delay := time.Duration(rt.hedgeDelayNs.Load())
 	if delay <= 0 {
 		delay = rt.lat.p95(defaultHedgeDelay)
 	}
 	type out struct {
-		res  *attemptResult
+		resp *http.Response
 		err  error
 		name string
 	}
@@ -483,9 +473,8 @@ func (rt *Router) attemptWithHedge(r *http.Request, primary string, rest []strin
 	defer hcancel()
 	ch := make(chan out, 2)
 	run := func(ctx context.Context, name string) {
-		res, err := rt.attempt(ctx, r, name, body, pol)
-		rt.breakers.Report(name, err == nil && !gatewayBad(res.status))
-		ch <- out{res: res, err: err, name: name}
+		resp, err := rt.send(ctx, r, name, body, timeout, true)
+		ch <- out{resp: resp, err: err, name: name}
 	}
 	go run(pctx, primary)
 
@@ -497,24 +486,23 @@ func (rt *Router) attemptWithHedge(r *http.Request, primary string, rest []strin
 		select {
 		case o := <-ch:
 			if o.name == primary {
-				good := o.err == nil && !gatewayBad(o.res.status)
-				if good || !hedgeLaunched {
-					return o.res, o.err
+				if !BreakerFailure(o.resp, o.err) || !hedgeLaunched {
+					return o.resp, o.err
 				}
 				// The primary failed at the transport level with a hedge
 				// in flight: its result may still save the request.
 				primaryOut = &o
 				continue
 			}
-			if o.err == nil && o.res.status == http.StatusOK {
+			if o.err == nil && o.resp.StatusCode == http.StatusOK {
 				rt.hedgeWins.Add(1)
 				pcancel()
-				return o.res, nil
+				return o.resp, nil
 			}
 			// The hedge lost (error, 404 at a non-owner, 429, …): only
 			// the primary's answer counts.
 			if primaryOut != nil {
-				return primaryOut.res, primaryOut.err
+				return primaryOut.resp, primaryOut.err
 			}
 			hedgeLaunched = false // nothing left in flight beside primary
 		case <-timer.C:
@@ -528,41 +516,6 @@ func (rt *Router) attemptWithHedge(r *http.Request, primary string, rest []strin
 			}
 		}
 	}
-}
-
-// relayResult copies a buffered attempt — status, headers, body — to
-// the client untouched, preserving 429/408/422 semantics end to end.
-func (rt *Router) relayResult(w http.ResponseWriter, res *attemptResult) {
-	for k, vs := range res.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(res.status)
-	w.Write(res.body)
-}
-
-// doBackend performs one buffered round trip to a named backend,
-// cloning the original request's method, path, and headers.
-func (rt *Router) doBackend(r *http.Request, name string, body []byte) (*http.Response, error) {
-	b, ok := rt.backends[name]
-	if !ok {
-		return nil, fmt.Errorf("no backend %q", name)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, "http://backend"+r.URL.Path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header = r.Header.Clone()
-	rt.sends[name].Add(1)
-	resp, err := b.Doer.Do(req)
-	rt.breakers.Report(name, err == nil && !gatewayBad(resp.StatusCode))
-	if err != nil {
-		return nil, err
-	}
-	rt.proxied.Add(1)
-	rt.perBackend[name].Add(1)
-	return resp, nil
 }
 
 // relay copies a backend response — status, headers, body — to the
@@ -583,15 +536,19 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ref, err := solveRef(r, body)
+	key, isRef, err := solveKey(r, body)
 	if err != nil {
 		rt.routerError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Solves are idempotent: retrying one on the next ring node after a
-	// transport failure at worst recomputes a result — and for the same
-	// reason they are the hedging surface.
-	rt.forward(w, r, ref, body, true, true)
+	// transport failure at worst recomputes a result. Only full-body
+	// solves (an inline or binary graph) are hedged. A graphRef is
+	// interned only at its ring owner, so any successor answers 404
+	// unknownGraphRef and a graphRef hedge can never win; replicated ring
+	// ownership (parked in ROADMAP.md) is what would make one worth
+	// sending.
+	rt.forward(w, r, key, body, !isRef)
 }
 
 // handleGraphs interns through the ring: the router parses the body
@@ -604,30 +561,12 @@ func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var g *graph.Graph
-	switch ct := strings.ToLower(r.Header.Get("Content-Type")); {
-	case strings.HasPrefix(ct, graph.BinaryContentType):
-		dec, _, err := graph.DecodeBinary(body)
-		if err != nil {
-			rt.routerError(w, http.StatusBadRequest, "bad graph frame: %v", err)
-			return
-		}
-		g = dec
-	case strings.HasPrefix(ct, "text/"):
-		dec, err := graph.Read(bytes.NewReader(body))
-		if err != nil {
-			rt.routerError(w, http.StatusBadRequest, "bad graph document: %v", err)
-			return
-		}
-		g = dec
-	default:
-		g = new(graph.Graph)
-		if err := g.UnmarshalJSON(body); err != nil {
-			rt.routerError(w, http.StatusBadRequest, "bad graph body: %v", err)
-			return
-		}
+	g, _, err := graph.DecodeBody(r.Header.Get("Content-Type"), body)
+	if err != nil {
+		rt.routerError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	rt.forward(w, r, intern.Ref(g), body, true, false)
+	rt.forward(w, r, intern.Ref(g), body, false)
 }
 
 func (rt *Router) handleGraphHead(w http.ResponseWriter, r *http.Request) {
@@ -636,7 +575,7 @@ func (rt *Router) handleGraphHead(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadRequest)
 		return
 	}
-	rt.forward(w, r, ref, nil, true, false)
+	rt.forward(w, r, ref, nil, false)
 }
 
 // handleBatch splits a batch by item ownership. A batch whose items all
@@ -665,56 +604,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	owners := make(map[string][]int)
 	order := make([]string, 0, 4)
 	for i := range req.Items {
-		it := &req.Items[i]
-		var ref string
-		switch {
-		case it.GraphRef != "":
-			if !intern.ValidRef(it.GraphRef) {
-				rt.routerError(w, http.StatusBadRequest, "item %d: malformed graphRef %q", i, it.GraphRef)
-				return
-			}
-			ref = it.GraphRef
-		case it.Graph != nil:
-			ref = intern.Ref(it.Graph)
-		default:
-			rt.routerError(w, http.StatusBadRequest, "item %d names neither graph nor graphRef", i)
+		key, _, err := routingKey(req.Items[i].Graph, req.Items[i].GraphRef, i)
+		if err != nil {
+			rt.routerError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		owner := ring.Owner(ref)
+		owner := ring.Owner(key)
 		if _, seen := owners[owner]; !seen {
 			order = append(order, owner)
 		}
 		owners[owner] = append(owners[owner], i)
 	}
-	if len(order) == 1 {
-		// Single owner: pure passthrough of the verbatim body to that
-		// owner. This must name the backend directly — forward() routes
-		// by key, and no single key stands for the whole batch. Batches
-		// are not retried, so a transport failure (or an open breaker:
-		// same fate, without paying for the discovery) reports every
-		// item as an error line, exactly like an unreachable sub-batch
-		// below.
-		var resp *http.Response
-		err := fmt.Errorf("backend %s: circuit open", order[0])
-		if rt.breakers.Allow(order[0]) {
-			resp, err = rt.doBackend(r, order[0], body)
-		}
-		if err != nil {
-			rt.deadBackends.Add(1)
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			enc := json.NewEncoder(w)
-			for i := range req.Items {
-				enc.Encode(service.SolveResponse{ID: req.Items[i].ID, Code: "router",
-					Error: fmt.Sprintf("backend unreachable: %v", err)})
-			}
-			return
-		}
-		rt.relay(w, resp)
-		return
-	}
-	rt.splitBatches.Add(1)
-
 	type part struct {
 		status int
 		body   []byte
@@ -722,39 +622,50 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err    error
 	}
 	parts := make([]part, len(order))
-	var wg sync.WaitGroup
-	for pi, owner := range order {
-		pi, owner := pi, owner
-		idxs := owners[owner]
-		sub := service.BatchRequest{Options: req.Options, Workers: req.Workers, Tenant: req.Tenant,
-			Items: make([]service.SolveRequest, len(idxs))}
-		for j, idx := range idxs {
-			sub.Items[j] = req.Items[idx]
-		}
-		sb, err := json.Marshal(sub)
-		if err != nil {
-			rt.routerError(w, http.StatusInternalServerError, "re-marshal sub-batch: %v", err)
+	if len(order) == 1 {
+		// Single owner: pure passthrough of the verbatim body to that
+		// owner, streamed back. This must name the backend directly —
+		// forward() routes by key, and no single key stands for the whole
+		// batch. A failed send (or an open breaker: same fate, without
+		// paying for the discovery) reports every item as an error line
+		// below, exactly like an unreachable sub-batch.
+		resp, err := rt.sendBatch(r, order[0], body)
+		if err == nil {
+			rt.relay(w, resp)
 			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[pi].items = idxs
-			if !rt.breakers.Allow(owner) {
-				parts[pi].err = fmt.Errorf("backend %s: circuit open", owner)
-				return
+		parts[0] = part{items: owners[order[0]], err: err}
+	} else {
+		rt.splitBatches.Add(1)
+		var wg sync.WaitGroup
+		for pi, owner := range order {
+			idxs := owners[owner]
+			sub := service.BatchRequest{Options: req.Options, Workers: req.Workers, Tenant: req.Tenant,
+				Items: make([]service.SolveRequest, len(idxs))}
+			for j, idx := range idxs {
+				sub.Items[j] = req.Items[idx]
 			}
-			resp, err := rt.doBackend(r, owner, sb)
+			sb, err := json.Marshal(sub)
 			if err != nil {
-				parts[pi].err = err
+				rt.routerError(w, http.StatusInternalServerError, "re-marshal sub-batch: %v", err)
 				return
 			}
-			defer resp.Body.Close()
-			parts[pi].status = resp.StatusCode
-			parts[pi].body, parts[pi].err = io.ReadAll(resp.Body)
-		}()
+			parts[pi].items = idxs
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := rt.sendBatch(r, owner, sb)
+				if err != nil {
+					parts[pi].err = err
+					return
+				}
+				defer resp.Body.Close()
+				parts[pi].status = resp.StatusCode
+				parts[pi].body, parts[pi].err = io.ReadAll(resp.Body)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -782,6 +693,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// sendBatch sends a batch or sub-batch to its owner, unbuffered and
+// under the request context alone: batches are never retried and never
+// cut off by the per-attempt timeout. An open breaker fails it fast,
+// without a send.
+func (rt *Router) sendBatch(r *http.Request, owner string, body []byte) (*http.Response, error) {
+	if !rt.breakers.Allow(owner) {
+		return nil, fmt.Errorf("backend %s: circuit open", owner)
+	}
+	return rt.send(r.Context(), r, owner, body, 0, false)
 }
 
 // RouterStats is the body of the router's GET /v1/stats.
@@ -900,39 +822,13 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		errs := make([]error, len(members))
-		var wg sync.WaitGroup
-		for i, name := range members {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(r.Context(), readyProbeTimeout)
-				defer cancel()
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://backend/readyz", nil)
-				if err != nil {
-					errs[i] = err
-					return
+		for i, err := range rt.probe(r.Context(), members, readyProbeTimeout) {
+			states[members[i]] = HealthHealthy
+			if err != nil {
+				states[members[i]] = HealthDegraded
+				if reason == "" {
+					reason = fmt.Sprintf("backend %s: %v", members[i], err)
 				}
-				resp, err := rt.backends[name].Doer.Do(req)
-				if err != nil {
-					errs[i] = fmt.Errorf("backend %s unreachable", name)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs[i] = fmt.Errorf("backend %s not ready (status %d)", name, resp.StatusCode)
-				}
-			}()
-		}
-		wg.Wait()
-		for i, name := range members {
-			if errs[i] == nil {
-				states[name] = HealthHealthy
-				continue
-			}
-			states[name] = HealthDegraded
-			if reason == "" {
-				reason = errs[i].Error()
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"lpltsp/internal/core"
 	"lpltsp/internal/graph"
@@ -48,12 +49,23 @@ func newTestCluster(t *testing.T, n int, seed uint64, peerFill bool) (*Router, [
 
 func doJSON(t *testing.T, h http.Handler, method, path string, body []byte) (*http.Response, []byte) {
 	t.Helper()
+	ct := ""
+	if body != nil {
+		ct = "application/json"
+	}
+	return doRequest(t, h, method, path, ct, body)
+}
+
+// doRequest sends body through h with the given Content-Type (none when
+// empty) and returns the response and its body.
+func doRequest(t *testing.T, h http.Handler, method, path, contentType string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(method, "http://cluster"+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := HandlerDoer{Handler: h}.Do(req)
 	if err != nil {
@@ -287,6 +299,157 @@ func TestRouterSingleOwnerBatchRoutesToOwner(t *testing.T) {
 		}
 		if c != want {
 			t.Errorf("backend %s handled %d requests, want %d (owner %s)", name, c, want, owner)
+		}
+	}
+}
+
+// ownedGraphs draws count random graphs that the named backend owns.
+func ownedGraphs(rt *Router, owner string, count int, seed uint64) []*graph.Graph {
+	r := rng.New(seed)
+	var gs []*graph.Graph
+	for len(gs) < count {
+		if g := graph.RandomSmallDiameter(r, 12, 3, 0.3); rt.Ring().Owner(intern.Ref(g)) == owner {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
+// batchLines posts one batch of gs through the router and returns its
+// NDJSON lines by item id ("item-i" for gs[i]), each delivered once.
+func batchLines(t *testing.T, rt *Router, gs []*graph.Graph) map[string]service.SolveResponse {
+	t.Helper()
+	req := service.BatchRequest{}
+	for i, g := range gs {
+		req.Items = append(req.Items, service.SolveRequest{ID: fmt.Sprintf("item-%d", i), Graph: g, P: labeling.Vector{2, 1}})
+	}
+	body, _ := json.Marshal(req)
+	resp, rb := doJSON(t, rt, http.MethodPost, "/v1/batch", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, rb)
+	}
+	lines := map[string]service.SolveResponse{}
+	for _, line := range strings.Split(strings.TrimSpace(string(rb)), "\n") {
+		var sr service.SolveResponse
+		if err := json.Unmarshal([]byte(line), &sr); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if _, dup := lines[sr.ID]; dup {
+			t.Errorf("item %s delivered twice", sr.ID)
+		}
+		lines[sr.ID] = sr
+	}
+	if len(lines) != len(gs) {
+		t.Errorf("got %d result lines, want %d", len(lines), len(gs))
+	}
+	return lines
+}
+
+// A batch whose owner cannot be reached still answers 200: each item
+// that owner holds gets exactly one code "router" error line, the other
+// owner's items are solved, and the lost owner counts as one dead
+// backend. An open breaker fails the owner without a send.
+func TestRouterBatchUnreachableOwner(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		lost      int // items owned by b0, which is unreachable
+		live      int // items owned by b1
+		breakerUp bool
+	}{
+		{"singleOwnerDead", 3, 0, false},
+		{"singleOwnerBreakerOpen", 3, 0, true},
+		{"splitOneDead", 2, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, doers, _ := newProbedCluster(t, 2, 7, ProbeConfig{})
+			if tc.breakerUp {
+				rt.ConfigureBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
+				rt.Breakers().Report("b0", false)
+			} else {
+				doers[0].mode.Store(doerDead)
+			}
+			gs := append(ownedGraphs(rt, "b0", tc.lost, 1), ownedGraphs(rt, "b1", tc.live, 2)...)
+			lines := batchLines(t, rt, gs)
+			for i := range gs {
+				sr := lines[fmt.Sprintf("item-%d", i)]
+				if lost := i < tc.lost; lost != (sr.Code == "router") || lost != (sr.Error != "") {
+					t.Errorf("item %d (lost=%v): code %q error %q", i, lost, sr.Code, sr.Error)
+				}
+			}
+			st := rt.Stats()
+			if st.DeadBackends != 1 {
+				t.Errorf("deadBackends = %d, want 1", st.DeadBackends)
+			}
+			if tc.breakerUp && st.Sends["b0"] != 0 {
+				t.Errorf("sends to the open-breaker owner = %d, want 0", st.Sends["b0"])
+			}
+		})
+	}
+}
+
+// The router reads every graph transport the service does, by the same
+// Content-Type rules: one graph interned as JSON, DIMACS text and a
+// binary frame gets one graphRef at one owner (the second and third
+// intern report reinterned), and a binary solve lands on that owner.
+func TestRouterGraphTransports(t *testing.T) {
+	rt, servers, _ := newTestCluster(t, 3, 11, false)
+	g := graph.RandomSmallDiameter(rng.New(3), 16, 3, 0.3)
+	jsonBody, _ := json.Marshal(g)
+	var dimacs bytes.Buffer
+	if err := graph.Write(&dimacs, g); err != nil {
+		t.Fatal(err)
+	}
+	frame := graph.AppendBinary(nil, g)
+	internVia := func(h http.Handler, contentType string, body []byte) service.GraphsResponse {
+		t.Helper()
+		resp, rb := doRequest(t, h, http.MethodPost, "/v1/graphs", contentType, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("intern as %s: status %d: %s", contentType, resp.StatusCode, rb)
+		}
+		var gr service.GraphsResponse
+		if err := json.Unmarshal(rb, &gr); err != nil {
+			t.Fatal(err)
+		}
+		return gr
+	}
+	ref := internVia(rt, "application/json", jsonBody).GraphRef
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"text/plain", dimacs.Bytes()},
+		{graph.BinaryContentType, frame},
+	} {
+		if gr := internVia(rt, tc.contentType, tc.body); gr.GraphRef != ref || !gr.Reinterned {
+			t.Errorf("intern as %s: ref %s reinterned %v, want %s reinterned", tc.contentType, gr.GraphRef, gr.Reinterned, ref)
+		}
+	}
+	owner := rt.Ring().Owner(ref)
+	if got := rt.Stats().PerBackend[owner]; got != 3 {
+		t.Errorf("owner %s handled %d interns, want 3", owner, got)
+	}
+
+	solve := append(append([]byte{}, frame...), `{"p":[2,1]}`...)
+	resp, rb := doRequest(t, rt, http.MethodPost, "/v1/solve", graph.BinaryContentType, solve)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("binary solve via router: status %d: %s", resp.StatusCode, rb)
+	}
+	for name, c := range rt.Stats().PerBackend {
+		want := int64(0)
+		if name == owner {
+			want = 4
+		}
+		if c != want {
+			t.Errorf("backend %s handled %d requests, want %d (owner %s)", name, c, want, owner)
+		}
+	}
+
+	// A media type that merely starts like the binary one is not it: a
+	// JSON graph sent as application/x-lpl-graphs is JSON to a node and
+	// to the router alike.
+	for _, h := range []http.Handler{servers[0], rt} {
+		if gr := internVia(h, graph.BinaryContentType+"s", jsonBody); gr.GraphRef != ref {
+			t.Errorf("JSON body as %ss: ref %s, want %s", graph.BinaryContentType, gr.GraphRef, ref)
 		}
 	}
 }

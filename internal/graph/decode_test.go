@@ -425,3 +425,56 @@ func BenchmarkIngestDIMACS(b *testing.B) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// DecodeBody: one graph-body parser for every transport
+
+func TestDecodeBodyTransports(t *testing.T) {
+	g := RandomSmallDiameter(rng.New(5), 20, 3, 0.3)
+	jsonBody, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dimacs bytes.Buffer
+	if err := Write(&dimacs, g); err != nil {
+		t.Fatal(err)
+	}
+	frame := AppendBinary(nil, g)
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"", jsonBody},
+		{"application/json; charset=utf-8", jsonBody},
+		// Only the exact binary media type selects the frame decoder.
+		{BinaryContentType + "s", jsonBody},
+		{"text/plain", dimacs.Bytes()},
+		{" Text/Plain ; charset=us-ascii", dimacs.Bytes()},
+		{BinaryContentType, frame},
+		{"Application/X-LPL-Graph; v=1", frame},
+	} {
+		got, rest, err := DecodeBody(tc.contentType, tc.body)
+		if err != nil {
+			t.Fatalf("DecodeBody(%q): %v", tc.contentType, err)
+		}
+		if len(rest) != 0 {
+			t.Errorf("DecodeBody(%q): %d bytes left over", tc.contentType, len(rest))
+		}
+		csrEqual(t, got, g, fmt.Sprintf("DecodeBody(%q)", tc.contentType))
+	}
+
+	// A binary frame hands back what follows it; the other forms fail
+	// with an error naming the form.
+	if _, rest, err := DecodeBody(BinaryContentType, append(append([]byte{}, frame...), `{"p":[2,1]}`...)); err != nil || string(rest) != `{"p":[2,1]}` {
+		t.Errorf("frame + envelope: rest %q, err %v", rest, err)
+	}
+	for ct, prefix := range map[string]string{
+		BinaryContentType: "bad graph frame: ",
+		"text/plain":      "bad graph document: ",
+		"":                "bad graph body: ",
+	} {
+		if _, _, err := DecodeBody(ct, []byte("p edge 2 1\ne 1 1\n")); err == nil || !strings.HasPrefix(err.Error(), prefix) {
+			t.Errorf("DecodeBody(%q) on a bad body: err %v, want prefix %q", ct, err, prefix)
+		}
+	}
+}

@@ -46,6 +46,43 @@ func Read(r io.Reader) (*Graph, error) {
 	return decodeDIMACS(string(data))
 }
 
+// MediaType returns a Content-Type header's media type, lowercased and
+// stripped of parameters ("application/json; charset=utf-8" →
+// "application/json").
+func MediaType(contentType string) string {
+	if i := strings.IndexByte(contentType, ';'); i >= 0 {
+		contentType = contentType[:i]
+	}
+	return strings.ToLower(strings.TrimSpace(contentType))
+}
+
+// DecodeBody decodes a bare graph body by its Content-Type header: the
+// binary frame (BinaryContentType), a DIMACS document (text/*), or the
+// JSON wire form (anything else). Like DecodeBinary it also returns the
+// bytes after a binary frame; the other forms consume the whole body.
+// Errors name the form that failed to parse.
+func DecodeBody(contentType string, body []byte) (*Graph, []byte, error) {
+	switch ct := MediaType(contentType); {
+	case ct == BinaryContentType:
+		g, rest, err := DecodeBinary(body)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad graph frame: %w", err)
+		}
+		return g, rest, nil
+	case strings.HasPrefix(ct, "text/"):
+		g, err := decodeDIMACS(string(body))
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad graph document: %w", err)
+		}
+		return g, nil, nil
+	}
+	g, err := decodeJSONGraph(body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bad graph body: %w", err)
+	}
+	return g, nil, nil
+}
+
 // MustParse parses a graph from a string, panicking on error. Test helper.
 func MustParse(s string) *Graph {
 	g, err := Read(strings.NewReader(s))

@@ -92,22 +92,6 @@ func quarantineKey(req *SolveRequest) string {
 	return b.String()
 }
 
-// checkQuarantine fast-fails a request whose exact instance+options is
-// currently quarantined, writing the 422 itself. itemCtx mirrors
-// resolveGraph's item labelling for batch bodies.
-func (s *Server) checkQuarantine(w http.ResponseWriter, key, itemCtx string) bool {
-	if s.quarantine == nil {
-		return true
-	}
-	reason, bad := s.quarantine.Check(key)
-	if !bad {
-		return true
-	}
-	jsonErrorCode(w, http.StatusUnprocessableEntity, codeQuarantined,
-		"instance quarantined%s: failed repeatedly (%s); retry after the quarantine TTL or change options", itemCtx, reason)
-	return false
-}
-
 // recordFailure counts a failed job and feeds containment failures
 // (engine panics, watchdog kills) to their counters and the quarantine.
 // Only these are evidence of a poison instance: applicability errors and

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -437,29 +439,78 @@ func TestErrorReply(t *testing.T) {
 	}
 }
 
+// TestRetryAfterOn429IsInteger: all four kinds of 429 — queue full,
+// tenant quota, infeasible at admission and shed while queued — carry
+// their code and an integral Retry-After in [1,30].
 func TestRetryAfterOn429IsInteger(t *testing.T) {
-	release := resetBlock()
-	defer release()
-	ts := newTestServer(t, &Config{Workers: 1, QueueDepth: 1})
-
-	opts := &WireOptions{Method: string(blockName), NoCache: true}
-	done := make(chan struct{})
-	go func() {
-		postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: "hold", Graph: graph.Path(3), P: labeling.L21(), Options: opts})
-		close(done)
-	}()
-	eventually(t, "queue full", func() bool { return getStats(t, ts.URL).Admitted == 1 })
-
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveReq("bounce", graph.Path(7), labeling.L21()))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d (%s)", resp.StatusCode, body)
+	hold := SolveRequest{ID: "hold", Graph: graph.Path(3), P: labeling.L21(),
+		Options: &WireOptions{Method: string(blockName), NoCache: true}}
+	bounce := solveReq("bounce", graph.Path(7), labeling.L21())
+	// late names a deadline the warmed cost model says it cannot meet.
+	late := SolveRequest{ID: "late", Graph: graph.Path(7), P: labeling.L21(), Options: &WireOptions{DeadlineMs: 5000}}
+	for _, tc := range []struct {
+		name, tenant, code string
+		depth              int
+		req                SolveRequest
+	}{
+		{"queueFull", "", "", 1, bounce},
+		{"tenantQuota", "t", codeTenantQuota, 1, bounce},
+		{"infeasible", "", codeInfeasible, 1, late},
+		{"shed", "", codeShed, 2, late},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			registerBlockOnce.Do(func() { core.RegisterMethod(blockMethod{}) })
+			s := NewServer(&Config{Workers: 1, QueueDepth: tc.depth})
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			release := resetBlock()
+			defer release()
+			// Every Path(7) solve takes an hour, says the model.
+			for i := 0; i < 16; i++ {
+				s.costs.Observe(core.CostServiceKey, 7, 6, 0, 2, time.Hour)
+			}
+			send := func(tenant string, req SolveRequest) <-chan *httptest.ResponseRecorder {
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hr := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+				hr.Header.Set(TenantHeader, tenant)
+				ch := make(chan *httptest.ResponseRecorder, 1)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, hr)
+					ch <- rec
+				}()
+				return ch
+			}
+			// Tenant t holds the one worker.
+			send("t", hold)
+			eventually(t, "worker held", func() bool { return s.sched.inFlight.Load() == 1 })
+			got := send(tc.tenant, tc.req)
+			if tc.code == codeShed {
+				// late took the free queue slot; a feasible arrival finds
+				// the queue full and sheds it.
+				eventually(t, "late queued", func() bool { return s.admitted.Load() == 2 })
+				send("", solveReq("arrival", graph.Path(5), labeling.L21()))
+			}
+			rec := <-got
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("status %d (%s)", rec.Code, rec.Body)
+			}
+			var rej SolveResponse
+			mustUnmarshal(t, rec.Body.Bytes(), &rej)
+			if rej.Code != tc.code {
+				t.Fatalf("code %q, want %q", rej.Code, tc.code)
+			}
+			var secs int
+			if _, err := fmt.Sscanf(rec.Header().Get("Retry-After"), "%d", &secs); err != nil || secs < 1 || secs > 30 {
+				t.Fatalf("Retry-After %q not an integer in [1,30]", rec.Header().Get("Retry-After"))
+			}
+		})
 	}
-	var secs int
-	if _, err := fmt.Sscanf(resp.Header.Get("Retry-After"), "%d", &secs); err != nil || secs < 1 || secs > 30 {
-		t.Fatalf("Retry-After %q not an integer in [1,30]", resp.Header.Get("Retry-After"))
-	}
-	release()
-	<-done
 }
 
 // ---------------------------------------------------------------------------

@@ -513,16 +513,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// contentType returns the request's media type, lowercased and stripped
-// of parameters ("application/json; charset=utf-8" → "application/json").
-func contentType(r *http.Request) string {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.ToLower(strings.TrimSpace(ct))
-}
-
 // readBody slurps the request body under the server's byte limit,
 // writing the 413/400 response itself on failure.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -540,35 +530,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return data, true
 }
 
-// resolveGraph turns a request's graphRef into its interned graph before
-// validation. Interned graphs are normalized with their derived views
-// forced at Put time and are shared read-only across all solves naming
-// them, so resolution costs one sharded-LRU lookup — no parsing, no
-// graph construction, no fingerprint hashing. Returns false after
-// writing the error response (400 for conflicts and malformed refs, 404
-// with code unknownGraphRef for a ref the store does not hold).
-func (s *Server) resolveGraph(w http.ResponseWriter, req *SolveRequest, itemCtx string) bool {
-	if req.GraphRef == "" {
-		return true
-	}
-	if req.Graph != nil {
-		jsonError(w, http.StatusBadRequest, "invalid request%s: both graph and graphRef set", itemCtx)
-		return false
-	}
-	if !intern.ValidRef(req.GraphRef) {
-		jsonError(w, http.StatusBadRequest, "invalid request%s: malformed graphRef %q", itemCtx, req.GraphRef)
-		return false
-	}
-	g, ok := s.graphs.Get(req.GraphRef)
-	if !ok {
-		jsonErrorCode(w, http.StatusNotFound, codeUnknownGraphRef,
-			"unknown graphRef %q%s: not interned or evicted; re-submit via POST /v1/graphs", req.GraphRef, itemCtx)
-		return false
-	}
-	req.Graph = g
-	return true
-}
-
 // handleGraphs serves POST /v1/graphs: parse the body as a bare graph —
 // binary frame (Content-Type application/x-lpl-graph), raw DIMACS text
 // (text/*), or the JSON wire form (default) — intern it, and return its
@@ -578,32 +539,14 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var g *graph.Graph
-	switch ct := contentType(r); {
-	case ct == graph.BinaryContentType:
-		dec, rest, err := graph.DecodeBinary(body)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "bad graph frame: %v", err)
-			return
-		}
-		if len(rest) != 0 {
-			jsonError(w, http.StatusBadRequest, "%d trailing bytes after graph frame", len(rest))
-			return
-		}
-		g = dec
-	case strings.HasPrefix(ct, "text/"):
-		dec, err := graph.Read(bytes.NewReader(body))
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "bad graph document: %v", err)
-			return
-		}
-		g = dec
-	default:
-		g = new(graph.Graph)
-		if err := g.UnmarshalJSON(body); err != nil {
-			jsonError(w, http.StatusBadRequest, "bad graph body: %v", err)
-			return
-		}
+	g, rest, err := graph.DecodeBody(r.Header.Get("Content-Type"), body)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if len(rest) != 0 {
+		jsonError(w, http.StatusBadRequest, "%d trailing bytes after graph frame", len(rest))
+		return
 	}
 	if s.cfg.MaxVertices > 0 && g.N() > s.cfg.MaxVertices {
 		jsonError(w, http.StatusRequestEntityTooLarge,
@@ -645,16 +588,17 @@ func (s *Server) handleGraphHead(w http.ResponseWriter, r *http.Request) {
 // ({"p":…, "options":…}), which skips the dominant cost of large solve
 // bodies (the edge-list JSON) entirely.
 func (s *Server) decodeSolve(w http.ResponseWriter, r *http.Request, req *SolveRequest) bool {
-	if contentType(r) != graph.BinaryContentType {
+	ct := graph.MediaType(r.Header.Get("Content-Type"))
+	if ct != graph.BinaryContentType {
 		return s.decode(w, r, req)
 	}
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return false
 	}
-	g, rest, err := graph.DecodeBinary(body)
+	g, rest, err := graph.DecodeBody(ct, body)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "bad graph frame: %v", err)
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	if len(bytes.TrimSpace(rest)) > 0 {
@@ -677,6 +621,69 @@ func (s *Server) decodeSolve(w http.ResponseWriter, r *http.Request, req *SolveR
 	return true
 }
 
+// prepare readies one solve for admission: a /v1/solve body (item -1,
+// defaults nil) or batch item number item, whose options default to the
+// batch's. It resolves a graphRef against the intern store — one
+// sharded-LRU lookup, no parsing or hashing — validates (413 for the
+// size gate, 400 otherwise), fast-fails a quarantined instance (422) and
+// builds the solve options. It returns the options and the quarantine
+// key, or nil options after writing the error response; a batch item's
+// errors carry its " (item i, id "x")" label.
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *SolveRequest, defaults *WireOptions, item int) (*core.Options, string) {
+	label := func() string {
+		if item < 0 {
+			return ""
+		}
+		return fmt.Sprintf(" (item %d, id %q)", item, req.ID)
+	}
+	if req.GraphRef != "" {
+		if req.Graph != nil {
+			jsonError(w, http.StatusBadRequest, "invalid request%s: both graph and graphRef set", label())
+			return nil, ""
+		}
+		if !intern.ValidRef(req.GraphRef) {
+			jsonError(w, http.StatusBadRequest, "invalid request%s: malformed graphRef %q", label(), req.GraphRef)
+			return nil, ""
+		}
+		g, ok := s.graphs.Get(req.GraphRef)
+		if !ok {
+			jsonErrorCode(w, http.StatusNotFound, codeUnknownGraphRef,
+				"unknown graphRef %q%s: not interned or evicted; re-submit via POST /v1/graphs", req.GraphRef, label())
+			return nil, ""
+		}
+		req.Graph = g
+	}
+	if err := req.validate(s.cfg.MaxVertices); err != nil {
+		status := http.StatusBadRequest
+		if req.tooLarge(s.cfg.MaxVertices) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		jsonError(w, status, "invalid request%s: %v", label(), err)
+		return nil, ""
+	}
+	qkey := quarantineKey(req)
+	if s.quarantine != nil {
+		if reason, bad := s.quarantine.Check(qkey); bad {
+			jsonErrorCode(w, http.StatusUnprocessableEntity, codeQuarantined,
+				"instance quarantined%s: failed repeatedly (%s); retry after the quarantine TTL or change options", label(), reason)
+			return nil, ""
+		}
+	}
+	o := req.Options
+	if o == nil {
+		o = defaults
+	}
+	opts := o.toOptions(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
+	opts.Cache = s.cfg.Cache
+	opts.CostModel = s.costs
+	// A request that arrived through the peer-fill protocol must not be
+	// forwarded again: the sender already decided this node owns the key,
+	// so a ring disagreement degrades to a local solve, not a forwarding
+	// loop.
+	opts.DisableL2 = r.Header.Get(PeerFillHeader) != ""
+	return opts, qkey
+}
+
 // handleSolve serves POST /v1/solve: decode → validate → admit (429 on a
 // full queue) → wait for a solver slot → solve under the request context
 // → respond.
@@ -685,30 +692,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeSolve(w, r, &req) {
 		return
 	}
-	if !s.resolveGraph(w, &req, "") {
+	opts, qkey := s.prepare(w, r, &req, nil, -1)
+	if opts == nil {
 		return
-	}
-	if err := req.validate(s.cfg.MaxVertices); err != nil {
-		status := http.StatusBadRequest
-		if req.tooLarge(s.cfg.MaxVertices) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		jsonError(w, status, "invalid request: %v", err)
-		return
-	}
-	qkey := quarantineKey(&req)
-	if !s.checkQuarantine(w, qkey, "") {
-		return
-	}
-	opts := req.Options.toOptions(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
-	opts.Cache = s.cfg.Cache
-	opts.CostModel = s.costs
-	// A request that arrived through the peer-fill protocol must not be
-	// forwarded again: the sender already decided this node owns the key,
-	// so a ring disagreement degrades to a local solve, not a forwarding
-	// loop.
-	if r.Header.Get(PeerFillHeader) != "" {
-		opts.DisableL2 = true
 	}
 
 	tenant := tenantOf(r, req.Tenant)
@@ -772,11 +758,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // each member is compared by media type, not by exact string equality.
 func acceptsResultFrame(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt := part
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = mt[:i]
-		}
-		if strings.EqualFold(strings.TrimSpace(mt), core.ResultContentType) {
+		if graph.MediaType(part) == core.ResultContentType {
 			return true
 		}
 	}
@@ -802,45 +784,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
+	// Every item is prepared before admission: the scheduler needs each
+	// item's deadline, and once the NDJSON stream has started there is no
+	// clean way to refuse one item — an invalid or quarantined item
+	// rejects the whole batch.
+	itemOpts := make([]*core.Options, len(req.Items))
 	qkeys := make([]string, len(req.Items))
 	for i := range req.Items {
-		if !s.resolveGraph(w, &req.Items[i], fmt.Sprintf(" (item %d, id %q)", i, req.Items[i].ID)) {
-			return
-		}
-		if err := req.Items[i].validate(s.cfg.MaxVertices); err != nil {
-			status := http.StatusBadRequest
-			if req.Items[i].tooLarge(s.cfg.MaxVertices) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			jsonError(w, status, "invalid item %d (id %q): %v", i, req.Items[i].ID, err)
-			return
-		}
-		// A quarantined item rejects the whole batch before admission, like
-		// any other per-item validation failure: once the NDJSON stream has
-		// started there is no clean way to refuse one item.
-		qkeys[i] = quarantineKey(&req.Items[i])
-		if !s.checkQuarantine(w, qkeys[i], fmt.Sprintf(" (item %d, id %q)", i, req.Items[i].ID)) {
+		if itemOpts[i], qkeys[i] = s.prepare(w, r, &req.Items[i], req.Options, i); itemOpts[i] == nil {
 			return
 		}
 	}
 	workers := req.Workers
 	if workers <= 0 || workers > s.cfg.Workers {
 		workers = s.cfg.Workers
-	}
-	// Per-item options: a request-level default, overridable per item.
-	// Built before admission — the scheduler needs each item's deadline.
-	itemOpts := make([]*core.Options, len(req.Items))
-	for i := range req.Items {
-		o := req.Items[i].Options
-		if o == nil {
-			o = req.Options
-		}
-		itemOpts[i] = o.toOptions(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
-		itemOpts[i].Cache = s.cfg.Cache
-		itemOpts[i].CostModel = s.costs
-		if r.Header.Get(PeerFillHeader) != "" {
-			itemOpts[i].DisableL2 = true
-		}
 	}
 
 	tenant := tenantOf(r, req.Tenant)

@@ -97,7 +97,7 @@ func (w *WireOptions) toOptions(defaultDeadline, maxDeadline time.Duration) *cor
 
 // validate rejects requests the solver cannot accept before any work is
 // queued. maxVertices ≤ 0 disables the size gate. Callers resolve
-// GraphRef into Graph first (resolveGraph), so by the time validation
+// GraphRef into Graph first (Server.prepare), so by the time validation
 // runs a well-formed request always carries a graph.
 func (r *SolveRequest) validate(maxVertices int) error {
 	if r.Graph == nil {
