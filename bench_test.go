@@ -404,6 +404,46 @@ func BenchmarkE12Classes(b *testing.B) {
 	}
 }
 
+// BenchmarkE12Certificate measures an unpinned reduction solve with and
+// without the spanning-tree certificate. The certified instance has
+// diameter 2 under p = (2,2,1), so every path of H meets the MST bound
+// and no engine races. The uncertified one is the complement of a spider
+// (a centre with three legs of length 2 and leaves up to n) under
+// p = (2,1): its MST is the spider, which no Hamiltonian path matches,
+// so the portfolio race runs as before.
+func BenchmarkE12Certificate(b *testing.B) {
+	spider := lpltsp.NewGraph(46)
+	for leg := 0; leg < 3; leg++ {
+		spider.AddEdge(0, 1+2*leg)
+		spider.AddEdge(1+2*leg, 2+2*leg)
+	}
+	for v := 7; v < spider.N(); v++ {
+		spider.AddEdge(0, v)
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *lpltsp.Graph
+		p     lpltsp.Vector
+		exact bool
+	}{
+		{"certified/n=64", lpltsp.RandomSmallDiameter(7, 64, 3, 0.1), lpltsp.Vector{2, 2, 1}, true},
+		{"uncertified/n=46", spider.Complement(), lpltsp.L21(), false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := lpltsp.Solve(tc.g, tc.p, &lpltsp.Options{Verify: true, NoCache: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Method != lpltsp.MethodReduction || res.Exact != tc.exact {
+					b.Fatalf("method %s exact %v, want the reduction with exact %v", res.Method, res.Exact, tc.exact)
+				}
+			}
+		})
+	}
+}
+
 // --- substrate micro-benchmarks (allocation discipline of hot paths) ---
 
 func BenchmarkSubstrateAPSP(b *testing.B) {

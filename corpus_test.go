@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lpltsp"
+	"lpltsp/internal/core"
 )
 
 // The golden corpus: checked-in instances with brute-force-verified
@@ -165,6 +166,26 @@ func TestCorpusMatchesBruteForce(t *testing.T) {
 				t.Fatalf("manifest λ* = %d, brute force says %d", e.Lambda, lambda)
 			}
 		})
+	}
+}
+
+// TestCorpusLowerBound checks the reduction's spanning-tree bound against
+// λ* on every entry the reduction reaches: a bound above λ* would let the
+// planner certify a non-optimal path as exact.
+func TestCorpusLowerBound(t *testing.T) {
+	reached := 0
+	for _, e := range loadCorpus(t) {
+		red, err := core.Reduce(loadCorpusGraph(t, e.File), e.P)
+		if err != nil {
+			continue
+		}
+		reached++
+		if lb := red.LowerBound(); lb > int64(e.Lambda) {
+			t.Errorf("%s: bound %d above λ* = %d", corpusName(e), lb, e.Lambda)
+		}
+	}
+	if reached == 0 {
+		t.Fatal("the reduction reaches no corpus entry")
 	}
 }
 

@@ -75,9 +75,10 @@ func FuzzSolveVerify(f *testing.F) {
 // vectors: whatever the route, the solve must terminate without error,
 // produce a labeling that verifies against the definition, and — when it
 // claims exactness on a brute-forceable instance — match the
-// reduction-free optimum. Edge bits decode into an adjacency upper
-// triangle, so the corpus explores connected, disconnected, dense, and
-// empty graphs alike.
+// reduction-free optimum, which must also be at least the reduction's
+// LowerBound wherever Reduce succeeds. Edge bits decode into an adjacency
+// upper triangle, so the corpus explores connected, disconnected, dense,
+// and empty graphs alike.
 func FuzzPlan(f *testing.F) {
 	f.Add(uint8(4), uint64(0b111111), uint8(2), uint8(1), uint8(1))
 	f.Add(uint8(6), uint64(0x3_0a1f), uint8(2), uint8(1), uint8(0))
@@ -113,14 +114,20 @@ func FuzzPlan(f *testing.F) {
 		if res.Method == "" {
 			t.Fatal("no method provenance")
 		}
-		if res.Exact {
+		// Where the reduction applies, its spanning-tree bound must never
+		// exceed λ: a bound above λ would certify non-optimal paths.
+		red, redErr := Reduce(g, p)
+		if res.Exact || redErr == nil {
 			_, brute, err := labeling.BruteForceExact(g, p)
 			if err != nil {
 				t.Fatalf("brute force: %v", err)
 			}
-			if res.Span != brute {
+			if res.Exact && res.Span != brute {
 				t.Fatalf("method %s claims exact span %d, brute force says %d (n=%d p=%v)",
 					res.Method, res.Span, brute, nv, p)
+			}
+			if redErr == nil && red.LowerBound() > int64(brute) {
+				t.Fatalf("spanning-tree bound %d above λ = %d (n=%d p=%v)", red.LowerBound(), brute, nv, p)
 			}
 		}
 	})

@@ -180,7 +180,8 @@ func (reductionMethod) Name() MethodName { return MethodReduction }
 
 // effectiveReductionAlgo resolves the engine the reduction method would
 // run: the pinned Options.Algorithm when set, otherwise the exact engine
-// within its reach and the portfolio roster beyond it.
+// within its reach and the portfolio roster beyond it (unless Solve's
+// spanning-tree certificate answers first).
 func effectiveReductionAlgo(pr *Probe, opts *Options) tsp.Algorithm {
 	if opts != nil && opts.Algorithm != "" {
 		return opts.Algorithm
@@ -259,6 +260,14 @@ func (reductionMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, 
 	if err != nil {
 		return nil, err
 	}
+	if opts == nil || opts.Algorithm == "" {
+		// Certify before racing: when the greedy-edge path already meets
+		// the spanning-tree bound it is optimal, and no engine starts. A
+		// pinned engine skips this and keeps its own semantics.
+		if res, err := red.certifiedGreedy(); res != nil || err != nil {
+			return res, err
+		}
+	}
 	algo := effectiveReductionAlgo(pr, opts)
 	var chained *tsp.ChainedOptions
 	if opts != nil {
@@ -294,6 +303,25 @@ func (reductionMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, 
 	case algo == tsp.AlgoChristofides && !res.Truncated:
 		res.Approx = 1.5
 	}
+	return res, nil
+}
+
+// certifiedGreedy builds the greedy-edge path of H and returns it as an
+// exact result when its weight meets LowerBound, or nil when it does not.
+func (r *Reduction) certifiedGreedy() (*Result, error) {
+	t1 := time.Now()
+	tour := tsp.GreedyEdgePath(r.Instance)
+	cost := r.Instance.PathCost(tour)
+	if cost != r.LowerBound() {
+		return nil, nil
+	}
+	res, err := r.resultFromTour(tour, tsp.AlgoGreedyEdge, tsp.Stats{Cost: cost, Optimal: true}, false)
+	if err != nil {
+		return nil, err
+	}
+	res.SolveTime = time.Since(t1)
+	res.Method = MethodReduction
+	res.Approx = 1
 	return res, nil
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
@@ -221,19 +223,43 @@ func TestPlannerForcedMethodErrors(t *testing.T) {
 	}
 }
 
+// spiderComplement returns the complement of a spider: a centre with
+// three legs of length 2, padded with leaves on the centre to n vertices.
+// It has diameter 2, and under p = (2,1) the spider's edges are exactly
+// H's weight-1 class: they span, so LowerBound is n-1, but the many
+// leaves keep every Hamiltonian path far above it.
+func spiderComplement(n int) *graph.Graph {
+	t := graph.New(n)
+	for leg := 0; leg < 3; leg++ {
+		t.AddEdge(0, 1+2*leg)
+		t.AddEdge(1+2*leg, 2+2*leg)
+	}
+	for v := 7; v < n; v++ {
+		t.AddEdge(0, v)
+	}
+	return t.Complement()
+}
+
 // TestPortfolioApproxProvenance: the auto route beyond the exact engines'
 // reach races the portfolio, and the finished 1.5-approximation's factor
-// survives onto the result (what the plan advertised).
+// survives onto the result (what the plan advertised). The instance is
+// one the spanning-tree bound cannot certify, so the race really runs.
 func TestPortfolioApproxProvenance(t *testing.T) {
-	r := rng.New(61)
-	g := graph.RandomSmallDiameter(r, tsp.BnBMaxN+10, 3, 0.15)
-	p := labeling.Vector{2, 2, 1}
+	g := spiderComplement(tsp.BnBMaxN + 10)
+	p := labeling.L21()
 	res, err := Solve(g, p, &Options{Verify: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != MethodReduction || res.Algorithm != AlgoPortfolio {
 		t.Fatalf("route: method=%s algorithm=%s", res.Method, res.Algorithm)
+	}
+	red, err := Reduce(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb := red.LowerBound(); lb >= int64(res.Span) {
+		t.Fatalf("bound %d meets span %d: the instance became certifiable", lb, res.Span)
 	}
 	if res.Exact {
 		t.Fatal("n > BnBMaxN cannot be exact here")
@@ -242,11 +268,104 @@ func TestPortfolioApproxProvenance(t *testing.T) {
 		t.Fatalf("portfolio winner lost the 1.5 factor: approx=%v (winner %s)", res.Approx, res.Winner)
 	}
 	// A roster without an exact engine must not be planned as exact.
-	pl := explain(t, graph.RandomDiameter2(r, 12, 0.4), labeling.L21(),
+	pl := explain(t, graph.RandomDiameter2(rng.New(61), 12, 0.4), labeling.L21(),
 		&Options{Algorithm: AlgoPortfolio, Engines: []tsp.Algorithm{tsp.AlgoTwoOpt, tsp.AlgoNearestNeighbor}})
 	c := pl.Candidate(MethodReduction)
 	if c == nil || !c.Applicable || c.Exact || c.Approx != 0 {
 		t.Fatalf("heuristic-only roster misplanned: %+v", c)
+	}
+}
+
+// oneClassInstance has diameter 2 under p = (2,2,1), so every pair of H
+// weighs 2 and every Hamiltonian path meets the spanning-tree bound.
+func oneClassInstance() *graph.Graph {
+	return graph.RandomSmallDiameter(rng.New(61), tsp.BnBMaxN+10, 3, 0.15)
+}
+
+// TestCertifiedGreedyRoute: unpinned, a greedy path that meets the
+// spanning-tree bound is answered exact without a race; a pinned engine
+// keeps its own semantics on the same instance.
+func TestCertifiedGreedyRoute(t *testing.T) {
+	g := oneClassInstance()
+	p := labeling.Vector{2, 2, 1}
+	red, err := Reduce(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(g, p, &Options{Verify: true, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != MethodReduction || !res.Exact || res.Approx != 1 || !res.Stats.Optimal {
+		t.Fatalf("certified route: method=%s exact=%v approx=%v optimal=%v", res.Method, res.Exact, res.Approx, res.Stats.Optimal)
+	}
+	if res.Algorithm != tsp.AlgoGreedyEdge || res.Winner != tsp.AlgoGreedyEdge {
+		t.Fatalf("certified route: algorithm=%s winner=%s, want %s", res.Algorithm, res.Winner, tsp.AlgoGreedyEdge)
+	}
+	if int64(res.Span) != red.LowerBound() {
+		t.Fatalf("span %d, bound %d", res.Span, red.LowerBound())
+	}
+	for _, tc := range []struct {
+		algo   tsp.Algorithm
+		approx float64
+	}{
+		{tsp.AlgoChained, 0},
+		{tsp.AlgoChristofides, 1.5},
+	} {
+		res, err := Solve(g, p, &Options{Algorithm: tc.algo, Verify: true, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != tc.algo || res.Exact || res.Approx != tc.approx {
+			t.Fatalf("pinned %s: algorithm=%s exact=%v approx=%v, want inexact with approx %v",
+				tc.algo, res.Algorithm, res.Exact, res.Approx, tc.approx)
+		}
+	}
+}
+
+// TestPortfolioCertificateEndsRace: a racer that meets the spanning-tree
+// bound is a proven optimum and cancels the rest, here a chained racer
+// that would otherwise run to the 10 s deadline.
+func TestPortfolioCertificateEndsRace(t *testing.T) {
+	res, err := Solve(oneClassInstance(), labeling.Vector{2, 2, 1}, &Options{
+		Algorithm: AlgoPortfolio,
+		Engines:   []tsp.Algorithm{tsp.AlgoNearestNeighbor, tsp.AlgoChained},
+		Chained:   &tsp.ChainedOptions{Restarts: 1, Kicks: 1 << 30},
+		Deadline:  10 * time.Second,
+		Verify:    true,
+		NoCache:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact || res.Truncated || res.Winner != tsp.AlgoNearestNeighbor {
+		t.Fatalf("exact=%v truncated=%v winner=%s, want an exact nn win", res.Exact, res.Truncated, res.Winner)
+	}
+}
+
+// TestLowerBoundConcurrent: the spider's edges are H's weight-1 class and
+// span it, so the bound is n-1; racers may share a Reduction, so first
+// calls from several goroutines must agree (run under -race).
+func TestLowerBoundConcurrent(t *testing.T) {
+	const n = 20
+	red, err := Reduce(spiderComplement(n), labeling.L21())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = red.LowerBound()
+		}()
+	}
+	wg.Wait()
+	for _, lb := range got {
+		if lb != n-1 {
+			t.Fatalf("bounds %v, want %d from every goroutine", got, n-1)
+		}
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // DefaultPortfolioEngines returns the engine roster Portfolio races when
 // the caller does not name one: the exact engine (when the instance is
 // within its reach) alongside the approximation and the anytime
-// heuristics, so the race ends as soon as optimality is proven and always
-// has a fast finisher for the deadline case.
+// heuristics, so the race always has a fast finisher for the deadline
+// case and ends as soon as optimality is proven — by the exact engine or
+// by any racer whose path meets the spanning-tree bound.
 func DefaultPortfolioEngines(n int) []tsp.Algorithm {
 	if n <= tsp.BnBMaxN {
 		return []tsp.Algorithm{tsp.AlgoExact, tsp.AlgoChristofides, tsp.AlgoChained, tsp.AlgoTwoOpt}
@@ -27,9 +28,11 @@ func DefaultPortfolioEngines(n int) []tsp.Algorithm {
 
 // Portfolio solves L(p)-LABELING by racing several TSP engines over one
 // shared reduction. All engines run concurrently under a child context;
-// the first exact engine to finish cancels the rest, and when the parent
-// context expires the anytime engines surrender their incumbents. The best
-// valid labeling across all finishers is returned, and it is always
+// the first finisher proven optimal cancels the rest — an exact engine
+// that completed, or any engine whose path meets the reduction's
+// spanning-tree bound (Reduction.LowerBound) — and when the parent
+// context expires the anytime engines surrender their incumbents. The
+// best valid labeling across all finishers is returned, and it is always
 // re-verified against the distance matrix before being handed out. All
 // spawned goroutines are joined before Portfolio returns, so a cancelled
 // race leaks nothing.
@@ -89,6 +92,7 @@ func portfolioOverReduction(ctx context.Context, red *Reduction, chained *tsp.Ch
 	if len(engines) == 0 {
 		engines = DefaultPortfolioEngines(red.G.N())
 	}
+	lb := red.LowerBound()
 
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -136,6 +140,11 @@ func portfolioOverReduction(ctx context.Context, red *Reduction, chained *tsp.Ch
 			// The 1.5-approximation completed, so the race minimum — and
 			// hence the winner — inherits its factor guarantee.
 			approxFinished = true
+		}
+		if e.stats.Cost == lb {
+			// A path as light as a spanning tree is optimal, whichever
+			// engine found it and however early it stopped.
+			e.stats.Optimal, e.stats.Truncated = true, false
 		}
 		e := e
 		if best == nil || e.stats.Cost < best.stats.Cost ||

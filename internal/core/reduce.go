@@ -49,9 +49,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
+	"lpltsp/internal/mst"
 	"lpltsp/internal/tsp"
 )
 
@@ -85,6 +87,9 @@ type Reduction struct {
 	Instance *tsp.Instance
 	Dist     *graph.DistMatrix
 	Diameter int
+
+	lbOnce sync.Once
+	lb     int64
 }
 
 // Reduce builds the weighted complete graph H of Theorem 2:
@@ -199,6 +204,21 @@ func (r *Reduction) TourFromLabeling(l labeling.Labeling) (tsp.Tour, error) {
 		}
 	}
 	return t, nil
+}
+
+// LowerBound returns the weight of a minimum spanning tree of H. Every
+// Hamiltonian path is a spanning tree, so no path is lighter, and by
+// Theorem 2 LowerBound() ≤ λ_p(G): a path whose weight meets it is
+// optimal. The O(n²) Prim runs once per reduction, on first call; later
+// and concurrent calls share the value.
+func (r *Reduction) LowerBound() int64 {
+	r.lbOnce.Do(func() {
+		if n := r.Instance.N(); n > 1 {
+			var s mst.PrimScratch
+			r.lb = s.Total(n, r.Instance.Weight)
+		}
+	})
+	return r.lb
 }
 
 // PathWeight returns the weight of tour t in the reduced instance H —

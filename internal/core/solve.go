@@ -25,8 +25,10 @@ type Result struct {
 	// Tour is the Hamiltonian path of the reduced instance when the
 	// reduction method solved this instance; nil for the other methods.
 	Tour tsp.Tour
-	// Exact reports whether the span is provably optimal: an exact
-	// method ran to completion, i.e. Span == λ_p(G).
+	// Exact reports whether the span is provably optimal, Span ==
+	// λ_p(G): an exact method or engine ran to completion, or, on the
+	// reduction route, the path met the spanning-tree bound
+	// (Reduction.LowerBound), which no Hamiltonian path can undercut.
 	Exact bool
 	// Approx is the guaranteed approximation factor when known: 1 for
 	// exact results, 1.5 for the Christofides route, pmax for the
@@ -39,9 +41,11 @@ type Result struct {
 	// (MethodComponents for decomposed disconnected inputs,
 	// MethodTrivial for the n ≤ 1 / pmax = 0 fast path).
 	Method MethodName
-	// Algorithm is the TSP engine the caller asked for (reduction method
-	// only); for portfolio runs, Winner names the engine whose tour won
-	// the race.
+	// Algorithm is the TSP engine that ran (reduction method only): the
+	// pinned or planner-chosen engine, or AlgoPortfolio for races, where
+	// Winner names the engine whose tour won. An unpinned solve whose
+	// greedy-edge path met the spanning-tree bound started no engine and
+	// reports tsp.AlgoGreedyEdge as both.
 	Algorithm tsp.Algorithm
 	Winner    tsp.Algorithm
 	// Stats carries the TSP engine's run statistics (reduction method).

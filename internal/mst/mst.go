@@ -1,8 +1,9 @@
 // Package mst computes minimum spanning trees. Two variants are provided:
 // a dense Prim for complete metric instances (the TSP reduction's weighted
 // graphs, O(n²) time and O(n) extra space) and a Kruskal for sparse edge
-// lists. Both are used by Christofides and by the 1-tree lower bound of the
-// branch-and-bound TSP solver.
+// lists. Christofides builds its tree with PrimDense; the TSP branch and
+// bound and the reduction's path lower bound take a plain MST weight from
+// PrimScratch.Total, since every Hamiltonian path is a spanning tree.
 package mst
 
 import (
@@ -124,31 +125,4 @@ func Kruskal(n int, edges []Edge) (tree []Edge, total int64) {
 		}
 	}
 	return tree, total
-}
-
-// OneTreeBound computes the Held–Karp style 1-tree lower bound for a TSP
-// cycle on the complete graph with weights w: an MST on vertices {1..n-1}
-// plus the two cheapest edges incident to vertex 0. For n < 3 it returns
-// the trivial tour cost. The bound is a valid lower bound on any
-// Hamiltonian cycle.
-func OneTreeBound(n int, w func(i, j int) int64) int64 {
-	if n < 2 {
-		return 0
-	}
-	if n == 2 {
-		return 2 * w(0, 1)
-	}
-	// MST over 1..n-1 (shift indices by one).
-	_, t := PrimDense(n-1, func(i, j int) int64 { return w(i+1, j+1) })
-	var b1, b2 int64 = 1 << 62, 1 << 62
-	for v := 1; v < n; v++ {
-		wv := w(0, v)
-		if wv < b1 {
-			b2 = b1
-			b1 = wv
-		} else if wv < b2 {
-			b2 = wv
-		}
-	}
-	return t + b1 + b2
 }

@@ -106,50 +106,6 @@ func TestKruskalForest(t *testing.T) {
 	}
 }
 
-func TestOneTreeBound(t *testing.T) {
-	r := rng.New(3)
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + r.Intn(8)
-		w := randomWeights(r, n, 20)
-		wf := func(i, j int) int64 { return w[i][j] }
-		bound := OneTreeBound(n, wf)
-		// Compare against the optimal cycle by brute force.
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		best := int64(-1)
-		var rec func(k int)
-		rec = func(k int) {
-			if k == n {
-				var c int64
-				for i := 0; i < n; i++ {
-					c += w[perm[i]][perm[(i+1)%n]]
-				}
-				if best < 0 || c < best {
-					best = c
-				}
-				return
-			}
-			for i := k; i < n; i++ {
-				perm[k], perm[i] = perm[i], perm[k]
-				rec(k + 1)
-				perm[k], perm[i] = perm[i], perm[k]
-			}
-		}
-		rec(1)
-		if bound > best {
-			t.Fatalf("trial %d: 1-tree bound %d exceeds optimal cycle %d", trial, bound, best)
-		}
-	}
-	if OneTreeBound(1, nil) != 0 {
-		t.Fatal("n=1 bound")
-	}
-	if OneTreeBound(2, func(i, j int) int64 { return 5 }) != 10 {
-		t.Fatal("n=2 bound")
-	}
-}
-
 func TestPrimPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

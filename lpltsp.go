@@ -59,9 +59,10 @@
 //	res, err := lpltsp.SolveContext(ctx, g, p, &lpltsp.Options{Algorithm: lpltsp.AlgoChained})
 //
 // Portfolio races exact and heuristic engines concurrently over one shared
-// reduction and returns the best verified labeling — the exact engine
-// ends the race when it finishes, the heuristics cover the case where the
-// deadline fires first:
+// reduction and returns the best verified labeling — the exact engine, or
+// any engine whose path meets the spanning-tree lower bound, ends the race
+// when it finishes, and the heuristics cover the case where the deadline
+// fires first:
 //
 //	res, err := lpltsp.Portfolio(ctx, g, p) // or Options{Algorithm: lpltsp.AlgoPortfolio}
 //
