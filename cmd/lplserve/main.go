@@ -38,10 +38,10 @@
 // the router that fronts such nodes):
 //
 //	lplserve -self b0 -peers b0=http://...,b1=http://...
-//	    run as one node of a peer-filled cluster: this process gets its
-//	    own solve cache with the other members installed as an L2, so an
-//	    L1 miss on a graph another node owns is forwarded there instead
-//	    of solved twice
+//	    run as one node of a peer-filled cluster: the server's solve
+//	    cache gets the other members installed as an L2, so an L1 miss
+//	    on a graph another node owns is forwarded there instead of
+//	    solved twice
 //
 // The ring hashes member NAMES with -seed and -vnodes; every process in
 // one cluster must agree on all three. -pprof exposes
@@ -110,7 +110,7 @@ func buildServer(args []string, errOut io.Writer) (*http.Server, *log.Logger, er
 		maxVertices     = fs.Int("max-vertices", 4096, "reject larger instances with 413")
 		sched           = fs.String("sched", "edf", "admission scheduling policy: edf (earliest deadline first) or fifo")
 		tenantQuota     = fs.Float64("tenant-quota", 0, "max fraction of the queue one named tenant may hold (0 = default 0.5, negative = unlimited)")
-		cacheCap        = fs.Int("cache-capacity", 0, "resize the shared solve cache (0 = keep the default)")
+		cacheCap        = fs.Int("cache-capacity", 0, "this server's solve-cache entries (0 = default)")
 		graphStore      = fs.Int("graph-store", 0, "graph intern store capacity behind /v1/graphs (0 = default, negative = disabled)")
 		quarantine      = fs.Int("quarantine", 0, "quarantine an instance after this many containment failures (0 = default 3, negative = disabled)")
 		quarantineTTL   = fs.Duration("quarantine-ttl", 0, "quarantine sentence length and failure-memory window (0 = default 5m)")
@@ -146,10 +146,15 @@ func buildServer(args []string, errOut io.Writer) (*http.Server, *log.Logger, er
 		QuarantineTTL:       *quarantineTTL,
 		WatchdogGrace:       *watchdogGrace,
 	}
+	capacity := core.DefaultCacheCapacity
+	if *cacheCap > 0 {
+		capacity = *cacheCap
+	}
+	cfg.Cache = core.NewSolveCache(capacity)
 	switch {
 	case *peerSpec != "":
-		// Cluster node: an instance-scoped cache with the peers as L2,
-		// so misses on graphs another node owns are filled from there.
+		// Cluster node: the peers are the cache's L2, so misses on graphs
+		// another node owns are filled from there.
 		if *self == "" {
 			return nil, nil, fmt.Errorf("-peers requires -self (this node's ring member name)")
 		}
@@ -167,11 +172,6 @@ func buildServer(args []string, errOut io.Writer) (*http.Server, *log.Logger, er
 		if !member {
 			return nil, nil, fmt.Errorf("-self %q is not among the -peers names (every node lists the full membership, itself included)", *self)
 		}
-		capacity := core.DefaultCacheCapacity
-		if *cacheCap > 0 {
-			capacity = *cacheCap
-		}
-		cache := core.NewSolveCache(capacity)
 		pf, err := cluster.NewPeerFill(*self, peers, cluster.RingConfig{VNodes: *vnodes, Seed: *ringSeed})
 		if err != nil {
 			return nil, nil, err
@@ -181,12 +181,9 @@ func buildServer(args []string, errOut io.Writer) (*http.Server, *log.Logger, er
 			Cooldown:  *breakerCooldown,
 		}))
 		pf.SetFillTimeout(*fillTimeout)
-		cache.SetL2(pf)
-		cfg.Cache = cache
+		cfg.Cache.SetL2(pf)
 	case *self != "":
 		return nil, nil, fmt.Errorf("-self requires -peers")
-	case *cacheCap > 0:
-		lpltsp.SetCacheCapacity(*cacheCap)
 	}
 	handler := lpltsp.NewServeHandler(cfg)
 	if *pprofFlag {

@@ -197,13 +197,10 @@ func Run(s Scenario) (*Report, error) {
 		return nil, fmt.Errorf("bench: scenario %q needs traffic, clients, and a request count or a fault script", s.Name)
 	}
 	registerBenchMethods()
-	// The watchdog grace, the floor and the method counters are
-	// process-global: restore or zero them so runs do not leak into each
-	// other.
-	defer core.SetWatchdogGrace(core.WatchdogGrace())
+	// The floor is process-global: reset it so runs do not leak into
+	// each other.
 	floorDelayNs.Store(int64(s.Floor))
 	defer floorDelayNs.Store(0)
-	core.ResetMethodCounts()
 
 	r := &run{s: s, rep: newReport(s), codes: map[string]int64{}}
 	if err := r.boot(); err != nil {

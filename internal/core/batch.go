@@ -137,7 +137,7 @@ func solveBatchItem(ctx context.Context, it BatchItem, idx int, solveOpts *Optio
 	br = BatchResult{Index: idx, ID: it.ID}
 	defer func() {
 		if v := recover(); v != nil {
-			br.Result, br.Err = nil, capturePanic(panicSiteBatch, v)
+			br.Result, br.Err = nil, cacheFor(solveOpts).capturePanic(panicSiteBatch, v)
 		}
 	}()
 	fault.Visit(ctx, fault.SiteCoreBatch)

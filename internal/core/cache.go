@@ -33,11 +33,15 @@ const (
 // identical requests into one underlying solve, and optionally backed by
 // a pluggable L2 cache (l2.go) consulted on L1 miss before solving.
 //
-// The process-wide default instance serves every Solve/SolveBatch/
-// Portfolio call whose Options carry no explicit cache; an isolated
-// instance (NewSolveCache, Options.Cache) gives one serving node its own
-// L1 + singleflight state — the multi-node in-process cluster harness in
-// internal/bench runs one per backend, exactly like one per OS process.
+// A SolveCache is also the home of the per-server solver state around
+// those flights: the stuck-solve watchdog that guards them (watchdog.go)
+// and the contained-panic counts of the solves run through it
+// (guard.go). The library's default instance serves every Solve/
+// SolveBatch/Portfolio call whose Options carry no explicit cache; an
+// isolated instance (NewSolveCache, Options.Cache) gives one serving
+// node its own L1, singleflight, watchdog and panic counts — every
+// service.Server builds one unless handed one, so several servers in one
+// process share none of them.
 //
 // Memory model: entries are stored as deep copies (labeling and tour
 // slices cloned) and handed out as deep copies, so a cached Result never
@@ -63,6 +67,10 @@ type SolveCache struct {
 	l2Served    atomic.Int64
 	l2PeerHits  atomic.Int64
 	l2Fallbacks atomic.Int64
+
+	watchdog watchdog
+	panicMu  sync.Mutex
+	panics   map[MethodName]int64 // contained panics per attributed method
 }
 
 // l2Box wraps the interface value so it can ride in an atomic.Pointer
@@ -112,12 +120,13 @@ func newCacheGen(capacity int) *cacheGen {
 }
 
 // NewSolveCache returns an isolated cache + singleflight instance with
-// the given total entry budget. Pass it via Options.Cache (or
-// service.Config.Cache) to give one serving node its own L1 and
-// singleflight state, independent of the process-wide default.
+// the given total entry budget and a disarmed watchdog. Pass it via
+// Options.Cache (or service.Config.Cache) to give one serving node its
+// own state, independent of the library's default instance.
 func NewSolveCache(capacity int) *SolveCache {
-	c := &SolveCache{}
+	c := &SolveCache{panics: map[MethodName]int64{}}
 	c.gen.Store(newCacheGen(capacity))
+	c.watchdog.wake = make(chan struct{}, 1)
 	return c
 }
 
@@ -144,7 +153,8 @@ func (c *SolveCache) loadL2() L2Cache {
 func (c *SolveCache) Stats() CacheStats { return c.stats() }
 
 // Reset empties the cache and zeroes its counters, keeping the current
-// capacity. The installed L2, if any, stays.
+// capacity. The installed L2, if any, stays, and so do the watchdog and
+// the kill and panic counts.
 func (c *SolveCache) Reset() { c.resetKeepCap() }
 
 // SetCapacity resets the cache with a new entry budget (≤ 0 disables
@@ -152,6 +162,15 @@ func (c *SolveCache) Reset() { c.resetKeepCap() }
 func (c *SolveCache) SetCapacity(capacity int) { c.reset(capacity) }
 
 var defaultSolveCache = NewSolveCache(DefaultCacheCapacity)
+
+// cacheFor returns the cache a solve runs through: Options.Cache, or the
+// library default.
+func cacheFor(opts *Options) *SolveCache {
+	if opts != nil && opts.Cache != nil {
+		return opts.Cache
+	}
+	return defaultSolveCache
+}
 
 // fnvKey is the shard-selection hash: FNV-1a over the canonical cache
 // key. Both the LRU shards and the singleflight table index with it.
@@ -319,19 +338,14 @@ type CacheStats struct {
 	L2Served, L2PeerHits, L2Fallbacks int64
 }
 
-// SolveCacheStats returns the current counters of the process-wide solve
-// cache consulted by Solve, SolveBatch, and Portfolio.
+// SolveCacheStats returns the current counters of the library's default
+// solve cache, consulted by every solve whose Options name no cache.
 func SolveCacheStats() CacheStats { return defaultSolveCache.stats() }
 
-// ResetSolveCache empties the solve cache and zeroes its counters,
-// keeping the current capacity. Intended for tests and benchmarks.
+// ResetSolveCache empties the default solve cache and zeroes its
+// counters, keeping the current capacity. Intended for tests and
+// benchmarks.
 func ResetSolveCache() { defaultSolveCache.resetKeepCap() }
-
-// SetSolveCacheCapacity resets the cache with a new entry budget
-// (capacity ≤ 0 disables caching entirely). The budget is divided across
-// the LRU shards, so per-shard eviction keeps the total entry count
-// within capacity; budgets below the shard count use one shard.
-func SetSolveCacheCapacity(capacity int) { defaultSolveCache.reset(capacity) }
 
 // cacheKeyFor builds the canonical instance fingerprint: the graph's
 // 128-bit structural hash (plus n and m, so a hash collision must also

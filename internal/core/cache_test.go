@@ -65,11 +65,10 @@ func TestCacheHitRoundtrip(t *testing.T) {
 // TestCacheIsolation: mutations of a returned result never leak into the
 // cache, and distinct options key distinct entries.
 func TestCacheIsolation(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	g := graph.Complete(6)
 	p := labeling.L21()
-	first, err := Solve(g, p, &Options{Verify: true})
+	first, err := Solve(g, p, &Options{Verify: true, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestCacheIsolation(t *testing.T) {
 	for v := range first.Labeling {
 		first.Labeling[v] = -999 // caller vandalism
 	}
-	second, err := Solve(g, p, &Options{Verify: true})
+	second, err := Solve(g, p, &Options{Verify: true, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestCacheIsolation(t *testing.T) {
 		}
 	}
 	// Different pinned method ⇒ different key ⇒ no stale answer.
-	forced, err := Solve(g, p, &Options{Method: MethodGreedy, Verify: true})
+	forced, err := Solve(g, p, &Options{Method: MethodGreedy, Verify: true, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,7 @@ func TestCacheIsolation(t *testing.T) {
 // workers over duplicated instances: every duplicate must report the same
 // span (run under -race, this also proves hits share no mutable state).
 func TestCacheDeterminismUnderRace(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	r := rng.New(17)
 	base := make([]*graph.Graph, 4)
 	for i := range base {
@@ -120,7 +118,7 @@ func TestCacheDeterminismUnderRace(t *testing.T) {
 	}
 	spans := map[string]map[int]bool{}
 	var mu sync.Mutex
-	for br := range SolveBatch(context.Background(), items, &BatchOptions{Workers: 4, Options: &Options{Verify: true}}) {
+	for br := range SolveBatch(context.Background(), items, &BatchOptions{Workers: 4, Options: &Options{Verify: true, Cache: c}}) {
 		if br.Err != nil {
 			t.Fatal(br.Err)
 		}
@@ -136,7 +134,7 @@ func TestCacheDeterminismUnderRace(t *testing.T) {
 			t.Fatalf("instance %s produced %d distinct spans under caching", id, len(set))
 		}
 	}
-	st := SolveCacheStats()
+	st := c.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("duplicated batch produced no cache hits: %+v", st)
 	}
@@ -145,33 +143,33 @@ func TestCacheDeterminismUnderRace(t *testing.T) {
 // TestCacheCapacityAndEviction: the LRU respects its budget and capacity
 // zero disables caching.
 func TestCacheCapacityAndEviction(t *testing.T) {
-	SetSolveCacheCapacity(2)
-	defer SetSolveCacheCapacity(DefaultCacheCapacity)
+	c := NewSolveCache(2)
+	opts := &Options{Verify: true, Cache: c}
 	p := labeling.L21()
 	gs := []*graph.Graph{graph.Complete(4), graph.Complete(5), graph.Complete(6)}
 	for _, g := range gs {
-		if _, err := Solve(g, p, &Options{Verify: true}); err != nil {
+		if _, err := Solve(g, p, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := SolveCacheStats()
+	st := c.Stats()
 	if st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("capacity 2: %+v", st)
 	}
 	// K4 (the LRU victim) misses; K6 (most recent) hits.
-	res, err := Solve(gs[0], p, &Options{Verify: true})
+	res, err := Solve(gs[0], p, opts)
 	if err != nil || res.CacheHit {
 		t.Fatalf("evicted entry served: hit=%v err=%v", res != nil && res.CacheHit, err)
 	}
-	res, err = Solve(gs[2], p, &Options{Verify: true})
+	res, err = Solve(gs[2], p, opts)
 	if err != nil || !res.CacheHit {
 		t.Fatalf("fresh entry missed: err=%v", err)
 	}
-	SetSolveCacheCapacity(0)
-	if _, err := Solve(graph.Complete(7), p, &Options{Verify: true}); err != nil {
+	c.SetCapacity(0)
+	if _, err := Solve(graph.Complete(7), p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if st := SolveCacheStats(); st.Entries != 0 {
+	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("capacity 0 cached anyway: %+v", st)
 	}
 }

@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// Learned cost model: an online per-method latency predictor fed by the
-// same per-solve observations that drive the metrics counters
-// (recordSolve / solveSingle). The planner's static Cost formulas rank
-// methods against each other well, but they are unitless — they cannot
-// answer "will this route finish inside the 40ms this request has
-// left?". The cost model can: every completed (uncached, untruncated)
-// method run contributes one observation (probe features → wall time),
-// and planSingle consults the fitted predictor to pick the cheapest
-// route that meets Options.Deadline, falling back to the static costs
-// until enough observations accrue (see costMinObservations).
+// Learned cost model: an online per-method latency predictor fed by one
+// observation per completed method run (solveSingle). The planner's
+// static Cost formulas rank methods against each other well, but they
+// are unitless — they cannot answer "will this route finish inside the
+// 40ms this request has left?". The cost model can: every completed
+// (uncached, untruncated) method run contributes one observation (probe
+// features → wall time), and planSingle consults the fitted predictor to
+// pick the cheapest route that meets Options.Deadline, falling back to
+// the static costs until enough observations accrue (see
+// costMinObservations).
 //
 // Model: per method, ridge regression in log space. Features are
 // z = [1, ln(n+1), ln(m+1), ln(diam+1), ln(pmax+1)] and the target is

@@ -3,20 +3,20 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Panic containment. A panicking engine must cost its own request, not
 // the process: every path that runs solver code — the caller's pipeline
-// in solveTop, the method body in solveSingle, the detached singleflight
-// leader goroutine, each portfolio racer, each batch worker — executes
-// under a recover boundary that converts the panic into a typed
-// *EnginePanicError (errors.Is-compatible with ErrEnginePanic) carrying
-// the method name and a truncated stack. The serving layer maps it to a
-// 500 with code "enginePanic" and feeds the poison quarantine; the
-// per-method counters below feed /v1/stats.
+// in SolveContext, the method body in runMethod, the detached
+// singleflight leader goroutine, each portfolio racer, each batch worker
+// — executes under a recover boundary that converts the panic into a
+// typed *EnginePanicError (errors.Is-compatible with ErrEnginePanic)
+// carrying the method name and a truncated stack. The serving layer maps
+// it to a 500 with code "enginePanic" and feeds the poison quarantine;
+// each panic is also counted per method on the SolveCache the solve runs
+// through (SolveCache.PanicCounts), which feeds /v1/stats.
 
 // ErrEnginePanic is the sentinel all contained solver panics wrap.
 var ErrEnginePanic = errors.New("core: engine panicked during solve")
@@ -54,49 +54,23 @@ func (e *EnginePanicError) Error() string {
 func (e *EnginePanicError) Unwrap() error { return ErrEnginePanic }
 
 // capturePanic builds the typed error for a recovered panic value and
-// counts it. Must be called from the deferred recover frame so the
-// captured stack still shows the panic site.
-func capturePanic(method MethodName, v any) error {
+// counts it on c, the cache the panicking solve runs through. Must be
+// called from the deferred recover frame so the captured stack still
+// shows the panic site.
+func (c *SolveCache) capturePanic(method MethodName, v any) error {
 	buf := make([]byte, panicStackLimit)
 	n := runtime.Stack(buf, false)
-	recordEnginePanic(method)
+	c.panicMu.Lock()
+	c.panics[method]++
+	c.panicMu.Unlock()
 	return &EnginePanicError{Method: method, Value: v, Stack: string(buf[:n])}
 }
 
-var (
-	enginePanicTotal atomic.Int64
-
-	panicMu       sync.Mutex
-	panicByMethod = map[MethodName]int64{}
-)
-
-func recordEnginePanic(method MethodName) {
-	enginePanicTotal.Add(1)
-	panicMu.Lock()
-	panicByMethod[method]++
-	panicMu.Unlock()
-}
-
-// EnginePanicCount returns the number of contained solver panics since
-// process start (or the last ResetMethodCounts).
-func EnginePanicCount() int64 { return enginePanicTotal.Load() }
-
-// PanicCounts returns contained panics per attributed method. Only
-// methods that have actually panicked appear.
-func PanicCounts() map[MethodName]int64 {
-	out := map[MethodName]int64{}
-	panicMu.Lock()
-	for k, v := range panicByMethod {
-		out[k] = v
-	}
-	panicMu.Unlock()
-	return out
-}
-
-// resetGuardCounts zeroes the panic counters (part of ResetMethodCounts).
-func resetGuardCounts() {
-	enginePanicTotal.Store(0)
-	panicMu.Lock()
-	panicByMethod = map[MethodName]int64{}
-	panicMu.Unlock()
+// PanicCounts returns the contained panics of the solves run through
+// this cache, per attributed method. Only methods that have actually
+// panicked appear.
+func (c *SolveCache) PanicCounts() map[MethodName]int64 {
+	c.panicMu.Lock()
+	defer c.panicMu.Unlock()
+	return maps.Clone(c.panics)
 }

@@ -78,10 +78,10 @@ func guardTestGraph(tb testing.TB) *graph.Graph {
 
 func TestPanicContainedUncached(t *testing.T) {
 	registerGuardMethods()
-	ResetMethodCounts()
-	defer ResetMethodCounts()
+	c := NewSolveCache(DefaultCacheCapacity)
 	g := guardTestGraph(t)
-	_, err := Solve(g, labeling.Vector{2, 1}, &Options{Method: panicName, NoCache: true})
+	// NoCache: the panic is still counted on the solve's cache.
+	_, err := Solve(g, labeling.Vector{2, 1}, &Options{Method: panicName, NoCache: true, Cache: c})
 	if !errors.Is(err, ErrEnginePanic) {
 		t.Fatalf("err = %v, want ErrEnginePanic", err)
 	}
@@ -98,11 +98,8 @@ func TestPanicContainedUncached(t *testing.T) {
 	if len(pe.Stack) > panicStackLimit {
 		t.Fatalf("stack not truncated: %d bytes", len(pe.Stack))
 	}
-	if got := PanicCounts()[panicName]; got != 1 {
-		t.Fatalf("PanicCounts[%s] = %d, want 1", panicName, got)
-	}
-	if got := EnginePanicCount(); got != 1 {
-		t.Fatalf("EnginePanicCount = %d, want 1", got)
+	if got := c.PanicCounts(); len(got) != 1 || got[panicName] != 1 {
+		t.Fatalf("PanicCounts = %v, want exactly one panic under %s", got, panicName)
 	}
 }
 
@@ -112,10 +109,7 @@ func TestPanicContainedUncached(t *testing.T) {
 // leader AND to followers of the same flight).
 func TestPanicContainedCoalesced(t *testing.T) {
 	registerGuardMethods()
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
+	opts := &Options{Method: panicName, Verify: true, Cache: NewSolveCache(DefaultCacheCapacity)}
 	g := guardTestGraph(t)
 	const callers = 8
 	errs := make(chan error, callers)
@@ -124,7 +118,7 @@ func TestPanicContainedCoalesced(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := Solve(g, labeling.Vector{2, 1}, &Options{Method: panicName, Verify: true})
+			_, err := Solve(g, labeling.Vector{2, 1}, opts)
 			errs <- err
 		}()
 	}
@@ -136,15 +130,14 @@ func TestPanicContainedCoalesced(t *testing.T) {
 		}
 	}
 	// Failed flights are not cached: the next solo call panics again.
-	if _, err := Solve(g, labeling.Vector{2, 1}, &Options{Method: panicName, Verify: true}); !errors.Is(err, ErrEnginePanic) {
+	if _, err := Solve(g, labeling.Vector{2, 1}, opts); !errors.Is(err, ErrEnginePanic) {
 		t.Fatalf("repeat err = %v, want ErrEnginePanic", err)
 	}
 }
 
 func TestBatchWorkerPanicContained(t *testing.T) {
 	registerGuardMethods()
-	ResetMethodCounts()
-	defer ResetMethodCounts()
+	c := NewSolveCache(DefaultCacheCapacity)
 	g := guardTestGraph(t)
 	items := []BatchItem{
 		{ID: "ok-0", G: g, P: labeling.Vector{2, 1}},
@@ -152,7 +145,7 @@ func TestBatchWorkerPanicContained(t *testing.T) {
 		{ID: "ok-1", G: g, P: labeling.Vector{2, 1}},
 	}
 	seen := map[string]error{}
-	for br := range SolveBatch(context.Background(), items, &BatchOptions{Workers: 2}) {
+	for br := range SolveBatch(context.Background(), items, &BatchOptions{Workers: 2, Options: &Options{Cache: c}}) {
 		seen[br.ID] = br.Err
 	}
 	if len(seen) != len(items) {
@@ -164,41 +157,37 @@ func TestBatchWorkerPanicContained(t *testing.T) {
 	if seen["ok-0"] != nil || seen["ok-1"] != nil {
 		t.Fatalf("healthy items failed: %v / %v", seen["ok-0"], seen["ok-1"])
 	}
-	if got := PanicCounts()[panicSiteBatch]; got != 1 {
+	if got := c.PanicCounts()[panicSiteBatch]; got != 1 {
 		t.Fatalf("PanicCounts[batch] = %d, want 1", got)
 	}
 }
 
 // TestPortfolioRacerPanicContained injects a certain panic into every
 // portfolio racer: the race must fail with an error, not kill the
-// process, and the panics must be counted.
+// process, and the panics must be counted on the solve's own cache.
 func TestPortfolioRacerPanicContained(t *testing.T) {
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
+	c := NewSolveCache(DefaultCacheCapacity)
 	fault.Enable(fault.Plan{Seed: 1, Rate: 1, Sites: []string{fault.SiteCorePortfolio}, Kinds: []fault.Kind{fault.KindPanic}})
 	defer fault.Disable()
 	g := guardTestGraph(t)
-	if _, err := Portfolio(context.Background(), g, labeling.Vector{2, 1}); err == nil {
-		t.Fatal("portfolio with every racer panicking returned no error")
+	opts := &Options{Method: MethodReduction, Algorithm: AlgoPortfolio, Cache: c}
+	_, err := Solve(g, labeling.Vector{2, 1}, opts)
+	if !errors.Is(err, ErrEnginePanic) {
+		t.Fatalf("portfolio with every racer panicking: err = %v, want ErrEnginePanic", err)
 	}
-	if EnginePanicCount() == 0 {
-		t.Fatal("no racer panic was counted")
+	if got := c.PanicCounts()[MethodReduction]; got != int64(len(DefaultPortfolioEngines(g.N()))) {
+		t.Fatalf("PanicCounts[%s] = %d, want one per racer (%d)", MethodReduction, got, len(DefaultPortfolioEngines(g.N())))
 	}
 }
 
 // TestInjectedPanicAtCoreMethod drives the chaos harness's core
 // injection site end to end through the planner.
 func TestInjectedPanicAtCoreMethod(t *testing.T) {
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
+	c := NewSolveCache(DefaultCacheCapacity)
 	fault.Enable(fault.Plan{Seed: 1, Rate: 1, Sites: []string{fault.SiteCoreMethod}, Kinds: []fault.Kind{fault.KindPanic}})
 	defer fault.Disable()
 	g := guardTestGraph(t)
-	_, err := Solve(g, labeling.Vector{2, 1}, &Options{Verify: true})
+	_, err := Solve(g, labeling.Vector{2, 1}, &Options{Verify: true, Cache: c})
 	if !errors.Is(err, ErrEnginePanic) {
 		t.Fatalf("err = %v, want ErrEnginePanic", err)
 	}
@@ -208,5 +197,8 @@ func TestInjectedPanicAtCoreMethod(t *testing.T) {
 	}
 	if _, ok := pe.Value.(fault.Injected); !ok {
 		t.Fatalf("panic value %T, want fault.Injected", pe.Value)
+	}
+	if got := c.PanicCounts()[pe.Method]; got != 1 {
+		t.Fatalf("PanicCounts[%s] = %d, want 1", pe.Method, got)
 	}
 }

@@ -278,7 +278,7 @@ func (reductionMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, 
 		if opts != nil {
 			engines = opts.Engines
 		}
-		res, err := portfolioOverReduction(ctx, red, chained, engines)
+		res, err := portfolioOverReduction(ctx, cacheFor(opts), red, chained, engines)
 		if err != nil {
 			return nil, err
 		}

@@ -352,8 +352,9 @@ func Explain(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *Optio
 }
 
 // remainingBudget converts a context deadline into the planner's budget
-// (0 when none is set — solveTop installs Options.Deadline as a context
-// timeout, so one source covers both caller and option deadlines).
+// (0 when none is set — SolveContext installs Options.Deadline as a
+// context timeout, so one source covers both caller and option
+// deadlines).
 func remainingBudget(ctx context.Context) time.Duration {
 	if dl, ok := ctx.Deadline(); ok {
 		if budget := time.Until(dl); budget > 0 {

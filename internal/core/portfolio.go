@@ -73,7 +73,7 @@ func Portfolio(ctx context.Context, g *graph.Graph, p labeling.Vector, engines .
 		if err != nil {
 			return nil, err
 		}
-		res, err := portfolioOverReduction(fctx, red, nil, engines)
+		res, err := portfolioOverReduction(fctx, defaultSolveCache, red, nil, engines)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +87,9 @@ func Portfolio(ctx context.Context, g *graph.Graph, p labeling.Vector, engines .
 // returns the best verified labeling; SolveTime covers the race, and the
 // caller owns ReduceTime. It is the portfolio body shared by the public
 // Portfolio entry point and the reduction method's AlgoPortfolio dispatch.
-func portfolioOverReduction(ctx context.Context, red *Reduction, chained *tsp.ChainedOptions, engines []tsp.Algorithm) (*Result, error) {
+// c is the cache the solve runs through: a racer panic counts there even
+// when another racer wins the race.
+func portfolioOverReduction(ctx context.Context, c *SolveCache, red *Reduction, chained *tsp.ChainedOptions, engines []tsp.Algorithm) (*Result, error) {
 	t1 := time.Now()
 	if len(engines) == 0 {
 		engines = DefaultPortfolioEngines(red.G.N())
@@ -115,7 +117,7 @@ func portfolioOverReduction(ctx context.Context, red *Reduction, chained *tsp.Ch
 			// len(engines) buffer means neither send ever blocks.
 			defer func() {
 				if v := recover(); v != nil {
-					results <- entry{algo: algo, err: capturePanic(MethodReduction, v)}
+					results <- entry{algo: algo, err: c.capturePanic(MethodReduction, v)}
 				}
 			}()
 			fault.Visit(raceCtx, fault.SiteCorePortfolio)

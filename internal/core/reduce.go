@@ -20,14 +20,16 @@
 //
 // # Memoization cache
 //
-// Verified solve results are memoized in a process-wide LRU keyed by a
-// canonical instance fingerprint (128-bit structural graph hash + n + m +
-// p + result-affecting options). Entries hold only the Result (labeling,
+// Verified solve results are memoized in a SolveCache — Options.Cache,
+// or the library's default instance — an LRU keyed by a canonical
+// instance fingerprint (128-bit structural graph hash + n + m + p +
+// result-affecting options). Entries hold only the Result (labeling,
 // tour, provenance — O(n) ints), never the distance matrix, and are
 // stored and served as deep copies, so cache hits share no mutable state
 // with any caller and steady-state batch traffic with duplicate instances
-// skips the reduction entirely. See SolveCacheStats, ResetSolveCache,
-// SetSolveCacheCapacity, and Options.NoCache.
+// skips the reduction entirely. The cache also holds the per-server
+// solver state: its flights' watchdog and its panic counts. See
+// NewSolveCache, SolveCacheStats, ResetSolveCache, and Options.NoCache.
 //
 // # Compact instances and the concurrency memory model
 //

@@ -84,26 +84,27 @@ func (f *flight) join() bool {
 
 // forceFail fails every waiter on a still-running flight (watchdog
 // path). It refuses flights that already completed — waiters holding a
-// real result must keep it — and reports whether this call did the kill.
-// The flight context is cancelled too, on the off chance the runaway
-// solve reaches a checkpoint after all.
-func (f *flight) forceFail(err error) bool {
+// real result must keep it. A kill it makes is counted on kills before
+// any waiter is released, so a released waiter always finds its own kill
+// counted. The flight context is cancelled too, on the off chance the
+// runaway solve reaches a checkpoint after all.
+func (f *flight) forceFail(err error, kills *atomic.Int64) {
 	select {
 	case <-f.done:
-		return false
+		return
 	default:
 	}
 	f.mu.Lock()
 	if f.forcedSet {
 		f.mu.Unlock()
-		return false
+		return
 	}
 	f.forcedSet = true
 	f.forcedErr = err
 	f.mu.Unlock()
+	kills.Add(1)
 	close(f.forced)
 	f.cancel()
-	return true
 }
 
 // leave drops one caller's interest and reports whether that made the
@@ -252,11 +253,11 @@ func (c *SolveCache) leadFlight(ctx, fctx context.Context, sh *flightShard, key 
 	// Arm the watchdog before the solve starts: a flight with a deadline
 	// is promised to terminate near it, and the watchdog enforces that
 	// promise against engines that ignore cancellation.
-	if grace := WatchdogGrace(); grace > 0 {
+	if grace := c.watchdog.grace(); grace > 0 {
 		if dl, ok := ctx.Deadline(); ok {
 			budget := time.Until(dl)
 			if budget > 0 {
-				defaultWatchdog.register(f, sh, key, time.Now().Add(time.Duration(grace*float64(budget))))
+				c.watchdog.register(f, sh, key, time.Now().Add(time.Duration(grace*float64(budget))))
 			}
 		}
 	}
@@ -266,7 +267,7 @@ func (c *SolveCache) leadFlight(ctx, fctx context.Context, sh *flightShard, key 
 	}
 	out := make(chan outcome, 1)
 	go func() {
-		res, err := runFlight(fctx, f, fn)
+		res, err := c.runFlight(fctx, f, fn)
 		if err == nil {
 			f.res = copyResult(res)
 			f.res.CacheHit = false
@@ -290,7 +291,7 @@ func (c *SolveCache) leadFlight(ctx, fctx context.Context, sh *flightShard, key 
 		}
 		sh.mu.Unlock()
 		close(f.done)
-		defaultWatchdog.unregister(f)
+		c.watchdog.unregister(f)
 		f.cancel()
 		out <- outcome{res, err}
 	}()
@@ -346,14 +347,14 @@ func (c *SolveCache) leadFlight(ctx, fctx context.Context, sh *flightShard, key 
 // runFlight is fn under the leader goroutine's recover boundary: this
 // goroutine is detached from every caller, so an uncontained panic here
 // would kill the process, not a request.
-func runFlight(fctx context.Context, f *flight, fn func(context.Context) (*Result, error)) (res *Result, err error) {
+func (c *SolveCache) runFlight(fctx context.Context, f *flight, fn func(context.Context) (*Result, error)) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			method, _ := f.method.Load().(MethodName)
 			if method == "" {
 				method = panicSitePipeline
 			}
-			res, err = nil, capturePanic(method, v)
+			res, err = nil, c.capturePanic(method, v)
 		}
 	}()
 	return fn(fctx)

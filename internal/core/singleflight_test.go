@@ -67,14 +67,15 @@ func (gateMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, opts 
 
 var registerGateOnce sync.Once
 
-func gateOpts() *Options {
+// gateOpts pins the gate method on cache c.
+func gateOpts(c *SolveCache) *Options {
 	registerGateOnce.Do(func() { RegisterMethod(gateMethod{}) })
-	return &Options{Method: gateName, Verify: true}
+	return &Options{Method: gateName, Verify: true, Cache: c}
 }
 
-// flightRefs reports the refcount of the live flight for key (0 if none).
-func flightRefs(key string) int {
-	sh := &defaultSolveCache.flights.shards[fnvKey(key)&(flightShardCount-1)]
+// flightRefs reports the refcount of c's live flight for key (0 if none).
+func flightRefs(c *SolveCache, key string) int {
+	sh := &c.flights.shards[fnvKey(key)&(flightShardCount-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f, ok := sh.m[key]
@@ -103,24 +104,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // inside the gated method until every follower has demonstrably joined
 // the flight, so the LRU cannot serve anyone — only coalescing can.
 func TestSingleflightDedup(t *testing.T) {
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
+	c := NewSolveCache(DefaultCacheCapacity)
 	release := armGate()
 	defer release()
 
-	var observed atomic.Int64 // underlying (non-cache-hit) solves seen
-	prev := SetSolveObserver(func(m MethodName, cacheHit bool, d time.Duration, err error) {
-		if err == nil && !cacheHit {
-			observed.Add(1)
-		}
-	})
-	defer SetSolveObserver(prev)
-
 	g := graph.Cycle(7)
 	p := labeling.L21()
-	opts := gateOpts()
+	opts := gateOpts(c)
 	key := cacheKeyFor(g, p, opts)
 
 	const K = 16
@@ -139,7 +129,7 @@ func TestSingleflightDedup(t *testing.T) {
 
 	// The leader is inside the method; all K-1 followers join its flight.
 	<-gateEntered
-	waitFor(t, "all followers to join the flight", func() bool { return flightRefs(key) == K })
+	waitFor(t, "all followers to join the flight", func() bool { return flightRefs(c, key) == K })
 	release()
 
 	var leaders, followers int
@@ -174,16 +164,13 @@ func TestSingleflightDedup(t *testing.T) {
 	if n := gateSolves.Load(); n != 1 {
 		t.Fatalf("underlying method ran %d times, want exactly 1", n)
 	}
-	if n := observed.Load(); n != 1 {
-		t.Fatalf("observer saw %d underlying solves, want exactly 1", n)
-	}
-	if st := SolveCacheStats(); st.Coalesced != K-1 {
+	if st := c.Stats(); st.Coalesced != K-1 {
 		t.Fatalf("coalesced counter %d, want %d (stats %+v)", st.Coalesced, K-1, st)
 	}
 
 	// The flight is gone and the result landed in the LRU: one more
 	// request is a plain hit, not a new flight.
-	if refs := flightRefs(key); refs != 0 {
+	if refs := flightRefs(c, key); refs != 0 {
 		t.Fatalf("flight still live with %d refs", refs)
 	}
 	res, err := Solve(g, p, opts)
@@ -200,14 +187,13 @@ func TestSingleflightDedup(t *testing.T) {
 // running and deliver the follower's result (the cooperative-cancellation
 // contract: the flight dies only when the LAST participant leaves).
 func TestSingleflightLeaderDisconnect(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	release := armGate()
 	defer release()
 
 	g := graph.Path(9)
 	p := labeling.L21()
-	opts := gateOpts()
+	opts := gateOpts(c)
 	key := cacheKeyFor(g, p, opts)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -228,12 +214,12 @@ func TestSingleflightLeaderDisconnect(t *testing.T) {
 		}
 		followerRes <- res
 	}()
-	waitFor(t, "follower to join", func() bool { return flightRefs(key) == 2 })
+	waitFor(t, "follower to join", func() bool { return flightRefs(c, key) == 2 })
 
 	// Leader's caller disconnects; the flight must stay alive for the
 	// follower (refs 2 → 1, no cancellation).
 	cancelLeader()
-	waitFor(t, "leader's interest released", func() bool { return flightRefs(key) == 1 })
+	waitFor(t, "leader's interest released", func() bool { return flightRefs(c, key) == 1 })
 	release()
 
 	select {
@@ -263,14 +249,13 @@ func TestSingleflightLeaderDisconnect(t *testing.T) {
 // flight context is cancelled and the solve unwinds cooperatively with
 // the callers' own context errors.
 func TestSingleflightAllCancel(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	release := armGate()
 	defer release() // never released by the test body: only cancellation can end the solve
 
 	g := graph.Cycle(9)
 	p := labeling.L21()
-	opts := gateOpts()
+	opts := gateOpts(c)
 	key := cacheKeyFor(g, p, opts)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -283,7 +268,7 @@ func TestSingleflightAllCancel(t *testing.T) {
 		}()
 	}
 	<-gateEntered
-	waitFor(t, "all participants on the flight", func() bool { return flightRefs(key) == K })
+	waitFor(t, "all participants on the flight", func() bool { return flightRefs(c, key) == K })
 	cancel()
 	for i := 0; i < K; i++ {
 		select {
@@ -295,7 +280,7 @@ func TestSingleflightAllCancel(t *testing.T) {
 			t.Fatal("participant stuck after cancellation")
 		}
 	}
-	if st := SolveCacheStats(); st.Entries != 0 {
+	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("cancelled flight left %d cache entries", st.Entries)
 	}
 }
@@ -304,11 +289,10 @@ func TestSingleflightAllCancel(t *testing.T) {
 // Options.Deadline still reports DeadlineExceeded (not the flight's
 // internal Canceled), preserving the pre-singleflight error surface.
 func TestSingleflightDeadlineError(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	_ = armGate() // never released: only the deadline can end the solve
 
-	opts := gateOpts()
+	opts := gateOpts(c)
 	opts.Deadline = 30 * time.Millisecond
 	_, err := Solve(graph.Path(5), labeling.L21(), opts)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -321,14 +305,13 @@ func TestSingleflightDeadlineError(t *testing.T) {
 // deadline (it must not block for the follower's sake), while the shared
 // solve keeps running and the follower still gets the result.
 func TestSingleflightLeaderDeadlineWithFollower(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	release := armGate()
 	defer release()
 
 	g := graph.Cycle(11)
 	p := labeling.L21()
-	leaderOpts := gateOpts()
+	leaderOpts := gateOpts(c)
 	leaderOpts.Deadline = 60 * time.Millisecond
 	key := cacheKeyFor(g, p, leaderOpts) // deadlines are excluded from the key
 
@@ -343,14 +326,14 @@ func TestSingleflightLeaderDeadlineWithFollower(t *testing.T) {
 	followerRes := make(chan *Result, 1)
 	followerErr := make(chan error, 1)
 	go func() {
-		res, err := Solve(g, p, gateOpts()) // no deadline
+		res, err := Solve(g, p, gateOpts(c)) // no deadline
 		if err != nil {
 			followerErr <- err
 			return
 		}
 		followerRes <- res
 	}()
-	waitFor(t, "follower to join", func() bool { return flightRefs(key) == 2 })
+	waitFor(t, "follower to join", func() bool { return flightRefs(c, key) == 2 })
 
 	select {
 	case err := <-leaderErr:
@@ -364,7 +347,7 @@ func TestSingleflightLeaderDeadlineWithFollower(t *testing.T) {
 		t.Fatal("leader still blocked long after its deadline")
 	}
 	// The flight must still be alive for the follower.
-	if refs := flightRefs(key); refs != 1 {
+	if refs := flightRefs(c, key); refs != 1 {
 		t.Fatalf("flight refs %d after leader deadline, want 1", refs)
 	}
 	release()
@@ -416,11 +399,10 @@ var registerAnytimeOnce sync.Once
 // caller harvests the anytime best-so-far labeling (Truncated, no error)
 // instead of a bare DeadlineExceeded.
 func TestSingleflightSoloDeadlineKeepsAnytimeResult(t *testing.T) {
-	ResetSolveCache()
-	defer ResetSolveCache()
+	c := NewSolveCache(DefaultCacheCapacity)
 	registerAnytimeOnce.Do(func() { RegisterMethod(anytimeMethod{}) })
 
-	opts := &Options{Method: anytimeName, Verify: true, Deadline: 40 * time.Millisecond}
+	opts := &Options{Method: anytimeName, Verify: true, Deadline: 40 * time.Millisecond, Cache: c}
 	res, err := Solve(graph.Cycle(6), labeling.L21(), opts)
 	if err != nil {
 		t.Fatalf("solo deadline solve errored: %v (want truncated anytime result)", err)
@@ -429,7 +411,7 @@ func TestSingleflightSoloDeadlineKeepsAnytimeResult(t *testing.T) {
 		t.Fatalf("provenance %+v, want Truncated=true fresh result", res)
 	}
 	// Truncated results never enter the LRU.
-	if st := SolveCacheStats(); st.Entries != 0 {
+	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("truncated result was cached: %+v", st)
 	}
 }

@@ -111,9 +111,10 @@ type Options struct {
 	// no insertion).
 	NoCache bool
 	// Cache routes this solve through an isolated SolveCache instance
-	// instead of the process-wide default — one L1 + singleflight domain
-	// per serving node when several run in one process (see
-	// NewSolveCache). Nil uses the default. Never part of the cache key.
+	// instead of the library default — one L1, singleflight, watchdog and
+	// panic-count domain per serving node when several run in one
+	// process (see NewSolveCache). Nil uses the default. Never part of
+	// the cache key.
 	Cache *SolveCache
 	// DisableL2 skips the L2 tier for this solve even when the selected
 	// cache has one installed. The serving layer sets it on requests that
@@ -153,27 +154,20 @@ func Solve(g *graph.Graph, p labeling.Vector, opts *Options) (*Result, error) {
 // SolveContext is Solve under a context: cancellation and deadlines
 // propagate through the probe and reduction into the engines' cooperative
 // checkpoints. Options.Deadline, when set, further bounds the solve.
-// Verified results are memoized in the process-wide solve cache (see
-// SolveCacheStats); repeated instances return the cached labeling with
-// Result.CacheHit set. Every call feeds the per-method counters and the
-// solve observer (see MethodCounts, SetSolveObserver).
-func SolveContext(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *Options) (*Result, error) {
-	t0 := time.Now()
-	res, err := solveTop(ctx, g, p, opts)
-	recordSolve(res, time.Since(t0), err)
-	return res, err
-}
-
-// solveTop is SolveContext minus the instrumentation. It is also the
-// caller-side recover boundary: a panic anywhere in the planner pipeline
-// (probe, plan, verify, cache; method bodies have their own closer guard
-// in runMethod, and the detached singleflight leader its own in
-// runFlight) becomes a typed ErrEnginePanic instead of unwinding into
-// the serving layer.
-func solveTop(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *Options) (res *Result, err error) {
+// Verified results are memoized in the solve cache — Options.Cache, or
+// the library default (see SolveCacheStats); repeated instances return
+// the cached labeling with Result.CacheHit set.
+//
+// SolveContext is also the caller-side recover boundary: a panic
+// anywhere in the planner pipeline (probe, plan, verify, cache; method
+// bodies have their own closer guard in runMethod, and the detached
+// singleflight leader its own in runFlight) becomes a typed
+// ErrEnginePanic, counted on the solve's cache, instead of unwinding
+// into the caller.
+func SolveContext(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *Options) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, capturePanic(panicSitePipeline, v)
+			res, err = nil, cacheFor(opts).capturePanic(panicSitePipeline, v)
 		}
 	}()
 	if opts != nil && opts.Deadline > 0 {
@@ -246,10 +240,7 @@ func solveAny(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *Opti
 	if !cacheable(opts) {
 		return solveUncached(ctx, g, p, opts)
 	}
-	c := defaultSolveCache
-	if opts.Cache != nil {
-		c = opts.Cache
-	}
+	c := cacheFor(opts)
 	key := cacheKeyFor(g, p, opts)
 	return c.solveCoalesced(ctx, key, func(fctx context.Context) (*Result, error) {
 		if l2 := c.loadL2(); l2 != nil && !opts.DisableL2 {
@@ -335,7 +326,7 @@ func solveSingle(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *O
 
 // runMethod executes one planned method under its own recover boundary,
 // with exact attribution (m.Name()) on both the panic error and the
-// per-method panic counter. The planned name is also parked on the
+// cache's per-method panic count. The planned name is also parked on the
 // enclosing singleflight flight, when there is one, so a later watchdog
 // kill of this solve can name the method that wedged. The fault.Visit is
 // the chaos harness's core injection site: right where a buggy engine
@@ -346,7 +337,7 @@ func runMethod(ctx context.Context, m Method, pr *Probe, p labeling.Vector, opts
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, capturePanic(m.Name(), v)
+			res, err = nil, cacheFor(opts).capturePanic(m.Name(), v)
 		}
 	}()
 	fault.Visit(ctx, fault.SiteCoreMethod)

@@ -21,11 +21,11 @@ import (
 // it cannot be killed, but it can be disowned, and its eventual result
 // is discarded (the flight is already failed when it finishes).
 //
-// The watchdog is process-global (it guards the process-global solve
-// cache's flights) and disabled by default: SetWatchdogGrace(3) arms it.
-// Only cacheable solves with a deadline are watched — the uncacheable
-// path has no flight and no waiters to strand, and a deadline-free solve
-// has no overrun to measure.
+// Each SolveCache has its own watchdog over its own flights, disabled
+// until SolveCache.SetWatchdogGrace arms it. Only cacheable solves with a
+// deadline are watched — the uncacheable path has no flight and no
+// waiters to strand, and a deadline-free solve has no overrun to
+// measure.
 
 // ErrSolveStuck is the sentinel a watchdog force-fail wraps.
 var ErrSolveStuck = errors.New("core: solve overran its deadline grace; force-failed by watchdog")
@@ -49,52 +49,24 @@ func (e *StuckSolveError) Error() string {
 
 func (e *StuckSolveError) Unwrap() error { return ErrSolveStuck }
 
-// watchdogGraceBits holds the grace factor as math.Float64bits; zero
-// disables the watchdog (the default).
-var watchdogGraceBits atomic.Uint64
-
-// SetWatchdogGrace sets the process-wide grace factor and returns the
-// previous one. A deadline-bearing solve is force-failed once it has run
-// for grace × its deadline budget. g ≤ 0 disables the watchdog; values
-// in (0,1) clamp to 1 (killing before the deadline would race the
-// engines' own cooperative truncation).
-func SetWatchdogGrace(g float64) float64 {
+// SetWatchdogGrace arms the stuck-solve watchdog over this cache's
+// flights: a deadline-bearing solve is force-failed once it has run for
+// g × its deadline budget. g ≤ 0 disables it (the default); values in
+// (0,1) clamp to 1 (killing before the deadline would race the engines'
+// own cooperative truncation).
+func (c *SolveCache) SetWatchdogGrace(g float64) {
 	if g < 0 {
 		g = 0
 	}
 	if g > 0 && g < 1 {
 		g = 1
 	}
-	return math.Float64frombits(watchdogGraceBits.Swap(math.Float64bits(g)))
+	c.watchdog.graceBits.Store(math.Float64bits(g))
 }
 
-// WatchdogGrace returns the current grace factor (0 = disabled).
-func WatchdogGrace() float64 {
-	return math.Float64frombits(watchdogGraceBits.Load())
-}
-
-// WatchdogKillCount returns the number of solves the watchdog has
-// force-failed since process start (or the last ResetMethodCounts).
-func WatchdogKillCount() int64 { return defaultWatchdog.kills.Load() }
-
-// StuckCounts returns watchdog kills per attributed method ("" mapped to
-// "unknown"). Only methods actually killed appear.
-func StuckCounts() map[MethodName]int64 {
-	out := map[MethodName]int64{}
-	defaultWatchdog.mu.Lock()
-	for k, v := range defaultWatchdog.killsByMethod {
-		out[k] = v
-	}
-	defaultWatchdog.mu.Unlock()
-	return out
-}
-
-func resetWatchdogCounts() {
-	defaultWatchdog.kills.Store(0)
-	defaultWatchdog.mu.Lock()
-	defaultWatchdog.killsByMethod = map[MethodName]int64{}
-	defaultWatchdog.mu.Unlock()
-}
+// WatchdogKillCount returns the number of solves this cache's watchdog
+// has force-failed.
+func (c *SolveCache) WatchdogKillCount() int64 { return c.watchdog.kills.Load() }
 
 // watchdogPollInterval bounds how stale the monitor's view can get: new
 // registrations wake it immediately, but a sleeping monitor re-scans at
@@ -108,16 +80,18 @@ type watchdogEntry struct {
 }
 
 type watchdog struct {
-	mu            sync.Mutex
-	entries       map[*flight]watchdogEntry
-	running       bool // monitor goroutine alive
-	killsByMethod map[MethodName]int64
+	// graceBits holds the grace factor as math.Float64bits; zero
+	// disables the watchdog.
+	graceBits atomic.Uint64
+	kills     atomic.Int64
+	wake      chan struct{} // buffered(1): nudges the monitor on registration
 
-	wake  chan struct{} // buffered(1): nudges the monitor on registration
-	kills atomic.Int64
+	mu      sync.Mutex
+	entries map[*flight]watchdogEntry
+	running bool // monitor goroutine alive
 }
 
-var defaultWatchdog = &watchdog{wake: make(chan struct{}, 1)}
+func (w *watchdog) grace() float64 { return math.Float64frombits(w.graceBits.Load()) }
 
 // register puts a flight under watch and lazily starts the monitor. The
 // monitor exits when its watch list empties, so an idle process carries
@@ -191,17 +165,5 @@ func (w *watchdog) kill(f *flight, e watchdogEntry) {
 		delete(e.sh.m, e.key)
 	}
 	e.sh.mu.Unlock()
-	if !f.forceFail(&StuckSolveError{Method: method, Grace: WatchdogGrace()}) {
-		return
-	}
-	w.kills.Add(1)
-	if method == "" {
-		method = "unknown"
-	}
-	w.mu.Lock()
-	if w.killsByMethod == nil {
-		w.killsByMethod = map[MethodName]int64{}
-	}
-	w.killsByMethod[method]++
-	w.mu.Unlock()
+	f.forceFail(&StuckSolveError{Method: method, Grace: w.grace()}, &w.kills)
 }

@@ -10,20 +10,61 @@ import (
 	"lpltsp/internal/labeling"
 )
 
+// watchedCache returns a private cache whose watchdog is armed at grace.
+func watchedCache(grace float64) *SolveCache {
+	c := NewSolveCache(DefaultCacheCapacity)
+	c.SetWatchdogGrace(grace)
+	return c
+}
+
 func TestWatchdogGraceDefaultsAndClamp(t *testing.T) {
-	if g := WatchdogGrace(); g != 0 {
+	c := NewSolveCache(DefaultCacheCapacity)
+	if g := c.watchdog.grace(); g != 0 {
 		t.Fatalf("default grace = %v, want 0 (disabled)", g)
 	}
-	prev := SetWatchdogGrace(0.25)
-	defer SetWatchdogGrace(prev)
-	if g := WatchdogGrace(); g != 1 {
+	c.SetWatchdogGrace(0.25)
+	if g := c.watchdog.grace(); g != 1 {
 		t.Fatalf("grace 0.25 should clamp to 1, got %v", g)
 	}
-	if SetWatchdogGrace(-3) != 1 {
-		t.Fatal("SetWatchdogGrace did not return previous value")
-	}
-	if g := WatchdogGrace(); g != 0 {
+	c.SetWatchdogGrace(-3)
+	if g := c.watchdog.grace(); g != 0 {
 		t.Fatalf("negative grace should disable, got %v", g)
+	}
+}
+
+// TestWatchdogScopedToCache: arming one cache's watchdog arms no other.
+// The same wedged method runs on an armed and an unarmed cache at once:
+// the armed cache kills its flight, while the unarmed one waits the leak
+// out and returns the method's late result, never killed.
+func TestWatchdogScopedToCache(t *testing.T) {
+	registerGuardMethods()
+	armed, unarmed := watchedCache(2), NewSolveCache(DefaultCacheCapacity)
+	leakSleep.Store(int64(800 * time.Millisecond))
+	defer leakSleep.Store(0)
+
+	g := guardTestGraph(t)
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, c := range []*SolveCache{armed, unarmed} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Solve(g, labeling.Vector{2, 1},
+				&Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond, Cache: c})
+		}()
+	}
+	wg.Wait()
+	if !errors.Is(errs[0], ErrSolveStuck) {
+		t.Fatalf("armed cache: err = %v, want ErrSolveStuck", errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("unarmed cache: err = %v, want the leaked method's late result", errs[1])
+	}
+	if a, u := armed.WatchdogKillCount(), unarmed.WatchdogKillCount(); a != 1 || u != 0 {
+		t.Fatalf("kill counts armed %d unarmed %d, want 1 and 0", a, u)
+	}
+	if grace := defaultSolveCache.watchdog.grace(); grace != 0 {
+		t.Fatalf("arming a private cache armed the default cache (grace %v)", grace)
 	}
 }
 
@@ -33,17 +74,12 @@ func TestWatchdogGraceDefaultsAndClamp(t *testing.T) {
 // grace × deadline, not hang for the method's full sleep.
 func TestWatchdogKillsStuckSolve(t *testing.T) {
 	registerGuardMethods()
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
-	prev := SetWatchdogGrace(2)
-	defer SetWatchdogGrace(prev)
+	c := watchedCache(2)
 	leakSleep.Store(int64(3 * time.Second))
 	defer leakSleep.Store(0)
 
 	g := guardTestGraph(t)
-	opts := &Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond}
+	opts := &Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond, Cache: c}
 	start := time.Now()
 	_, err := Solve(g, labeling.Vector{2, 1}, opts)
 	elapsed := time.Since(start)
@@ -65,11 +101,10 @@ func TestWatchdogKillsStuckSolve(t *testing.T) {
 	if elapsed >= 2*time.Second {
 		t.Fatalf("caller waited %v; watchdog did not fire", elapsed)
 	}
-	if got := WatchdogKillCount(); got != 1 {
+	// The kill is counted before any waiter is released, so the count
+	// is already there when the caller returns.
+	if got := c.WatchdogKillCount(); got != 1 {
 		t.Fatalf("WatchdogKillCount = %d, want 1", got)
-	}
-	if got := StuckCounts()[leakName]; got != 1 {
-		t.Fatalf("StuckCounts[%s] = %d, want 1", leakName, got)
 	}
 }
 
@@ -77,12 +112,7 @@ func TestWatchdogKillsStuckSolve(t *testing.T) {
 // wedged flight: every waiter must be released by the kill.
 func TestWatchdogReleasesFollowers(t *testing.T) {
 	registerGuardMethods()
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
-	prev := SetWatchdogGrace(2)
-	defer SetWatchdogGrace(prev)
+	c := watchedCache(2)
 	leakSleep.Store(int64(3 * time.Second))
 	defer leakSleep.Store(0)
 
@@ -95,7 +125,7 @@ func TestWatchdogReleasesFollowers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, err := Solve(g, labeling.Vector{2, 1},
-				&Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond})
+				&Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond, Cache: c})
 			errs <- err
 		}()
 	}
@@ -127,15 +157,10 @@ func TestWatchdogReleasesFollowers(t *testing.T) {
 // TestWatchdogSparesCooperativeSolves: a solve that finishes within its
 // deadline must never be force-failed even when watched.
 func TestWatchdogSparesCooperativeSolves(t *testing.T) {
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
-	prev := SetWatchdogGrace(2)
-	defer SetWatchdogGrace(prev)
+	c := watchedCache(2)
 	g := guardTestGraph(t)
 	for i := 0; i < 3; i++ {
-		res, err := Solve(g, labeling.Vector{2, 1}, &Options{Verify: true, Deadline: 5 * time.Second})
+		res, err := Solve(g, labeling.Vector{2, 1}, &Options{Verify: true, Deadline: 5 * time.Second, Cache: c})
 		if err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
@@ -143,14 +168,14 @@ func TestWatchdogSparesCooperativeSolves(t *testing.T) {
 			t.Fatalf("solve %d: bad span %d", i, res.Span)
 		}
 	}
-	if got := WatchdogKillCount(); got != 0 {
+	if got := c.WatchdogKillCount(); got != 0 {
 		t.Fatalf("WatchdogKillCount = %d for healthy solves, want 0", got)
 	}
 	// The monitor winds down once its watch list empties.
 	waitFor(t, "watchdog monitor exit", func() bool {
-		defaultWatchdog.mu.Lock()
-		defer defaultWatchdog.mu.Unlock()
-		return len(defaultWatchdog.entries) == 0
+		c.watchdog.mu.Lock()
+		defer c.watchdog.mu.Unlock()
+		return len(c.watchdog.entries) == 0 && !c.watchdog.running
 	})
 }
 
@@ -159,16 +184,11 @@ func TestWatchdogSparesCooperativeSolves(t *testing.T) {
 // rather than boarding the corpse.
 func TestWatchdogKilledFlightNotJoinable(t *testing.T) {
 	registerGuardMethods()
-	ResetSolveCache()
-	ResetMethodCounts()
-	defer ResetSolveCache()
-	defer ResetMethodCounts()
-	prev := SetWatchdogGrace(2)
-	defer SetWatchdogGrace(prev)
+	c := watchedCache(2)
 	leakSleep.Store(int64(2 * time.Second))
 
 	g := guardTestGraph(t)
-	opts := &Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond}
+	opts := &Options{Method: leakName, Verify: true, Deadline: 100 * time.Millisecond, Cache: c}
 	if _, err := Solve(g, labeling.Vector{2, 1}, opts); !errors.Is(err, ErrSolveStuck) {
 		t.Fatalf("setup kill failed: %v", err)
 	}
@@ -176,7 +196,7 @@ func TestWatchdogKilledFlightNotJoinable(t *testing.T) {
 	// flight (long deadline so the fresh solve is not itself killed).
 	leakSleep.Store(0)
 	res, err := Solve(g, labeling.Vector{2, 1},
-		&Options{Method: leakName, Verify: true, Deadline: 5 * time.Second})
+		&Options{Method: leakName, Verify: true, Deadline: 5 * time.Second, Cache: c})
 	if err != nil {
 		t.Fatalf("post-kill solve: %v", err)
 	}

@@ -163,8 +163,7 @@ func TestConfigCacheIsolation(t *testing.T) {
 	if st := cb.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("server B cache: %+v, want exactly 1 isolated miss", st)
 	}
-	// /v1/stats on an isolated-cache server reports that instance, not
-	// the process-wide default.
+	// /v1/stats on a server handed a cache reports that instance.
 	resp, err := http.Get(b.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

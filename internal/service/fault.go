@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"lpltsp/internal/core"
 	"lpltsp/internal/fault"
 )
 
@@ -192,9 +191,9 @@ func (s *Server) faultStats() FaultWire {
 		HandlerPanics: s.handlerPanics.Load(),
 		EnginePanics:  s.enginePanics.Load(),
 		StuckSolves:   s.stuckSolves.Load(),
-		WatchdogKills: core.WatchdogKillCount(),
+		WatchdogKills: s.cfg.Cache.WatchdogKillCount(),
 	}
-	if pc := core.PanicCounts(); len(pc) > 0 {
+	if pc := s.cfg.Cache.PanicCounts(); len(pc) > 0 {
 		fw.PanicsByMethod = make(map[string]int64, len(pc))
 		for k, v := range pc {
 			fw.PanicsByMethod[string(k)] = v
@@ -216,8 +215,8 @@ func (s *Server) faultStats() FaultWire {
 	return fw
 }
 
-// armFaultLayer finishes NewServer: quarantine construction and watchdog
-// arming from the resolved config.
+// armFaultLayer finishes NewServer: quarantine construction and arming
+// the watchdog of the server's cache from the resolved config.
 func (s *Server) armFaultLayer() {
 	if s.cfg.QuarantineThreshold >= 0 {
 		s.quarantine = fault.NewQuarantine(fault.Config{
@@ -226,9 +225,6 @@ func (s *Server) armFaultLayer() {
 		})
 	}
 	if s.cfg.WatchdogGrace > 0 {
-		// The watchdog guards the process-global solve cache's flights, so
-		// the grace factor is process-global too: the most recent server
-		// to arm it wins (in practice there is one server per process).
-		core.SetWatchdogGrace(s.cfg.WatchdogGrace)
+		s.cfg.Cache.SetWatchdogGrace(s.cfg.WatchdogGrace)
 	}
 }

@@ -88,9 +88,6 @@ func getReady(t *testing.T, base string) (int, ReadyResponse) {
 // panic containment over HTTP
 
 func TestEnginePanicOverHTTP(t *testing.T) {
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
-	defer core.ResetMethodCounts()
 	ts := newTestServer(t, nil)
 
 	fault.Enable(fault.Plan{Seed: 1, Rate: 1, Sites: []string{fault.SiteCoreMethod}, Kinds: []fault.Kind{fault.KindPanic}})
@@ -124,7 +121,6 @@ func TestEnginePanicOverHTTP(t *testing.T) {
 }
 
 func TestHandlerPanicBoundary(t *testing.T) {
-	core.ResetSolveCache()
 	ts := newTestServer(t, nil)
 
 	fault.Enable(fault.Plan{Seed: 2, Rate: 1, Sites: []string{fault.SiteServiceSolve}, Kinds: []fault.Kind{fault.KindPanic}})
@@ -151,9 +147,6 @@ func TestHandlerPanicBoundary(t *testing.T) {
 // quarantine
 
 func TestQuarantineTripsAndExpires(t *testing.T) {
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
-	defer core.ResetMethodCounts()
 	ts := newTestServer(t, &Config{QuarantineThreshold: 2, QuarantineTTL: 300 * time.Millisecond})
 
 	fault.Enable(fault.Plan{Seed: 3, Rate: 1, Sites: []string{fault.SiteCoreMethod}, Kinds: []fault.Kind{fault.KindPanic}})
@@ -201,9 +194,6 @@ func TestQuarantineTripsAndExpires(t *testing.T) {
 }
 
 func TestQuarantineDisabled(t *testing.T) {
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
-	defer core.ResetMethodCounts()
 	ts := newTestServer(t, &Config{QuarantineThreshold: -1})
 
 	fault.Enable(fault.Plan{Seed: 4, Rate: 1, Sites: []string{fault.SiteCoreMethod}, Kinds: []fault.Kind{fault.KindPanic}})
@@ -227,12 +217,6 @@ func TestQuarantineDisabled(t *testing.T) {
 
 func TestWatchdogStuckSolveOverHTTP(t *testing.T) {
 	registerSvcLeak()
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
-	defer core.ResetMethodCounts()
-	defer core.ResetSolveCache()
-	// NewServer arms the process-global watchdog; disarm on the way out.
-	t.Cleanup(func() { core.SetWatchdogGrace(0) })
 	ts := newTestServer(t, &Config{
 		WatchdogGrace:       2,
 		QuarantineThreshold: 1,
@@ -260,7 +244,7 @@ func TestWatchdogStuckSolveOverHTTP(t *testing.T) {
 	}
 
 	st := getStats(t, ts.URL)
-	if st.Fault.StuckSolves != 1 || st.Fault.WatchdogKills < 1 {
+	if st.Fault.StuckSolves != 1 || st.Fault.WatchdogKills != 1 {
 		t.Fatalf("fault stats: %+v", st.Fault)
 	}
 
@@ -273,6 +257,58 @@ func TestWatchdogStuckSolveOverHTTP(t *testing.T) {
 		status, sr := postSolve(t, ts.URL, healed)
 		return status == http.StatusOK && sr.Method == string(svcLeakName)
 	})
+}
+
+// TestServersKeepOwnState boots two servers in one process, each with
+// its own cache, and drives traffic and faults at one of them only: the
+// other's /v1/stats must show none of it.
+func TestServersKeepOwnState(t *testing.T) {
+	registerSvcLeak()
+	cfg := &Config{WatchdogGrace: 2}
+	a, b := newTestServer(t, cfg), newTestServer(t, cfg)
+
+	for _, g := range []*graph.Graph{graph.Cycle(5), graph.Cycle(5), graph.Path(6)} {
+		if status, sr := postSolve(t, a.URL, solveReq("x", g, labeling.L21())); status != http.StatusOK {
+			t.Fatalf("solve on A: status %d (%s)", status, sr.Error)
+		}
+	}
+	sumMethods := func(st StatsResponse) int64 {
+		var n int64
+		for _, v := range st.Methods {
+			n += v
+		}
+		return n
+	}
+	sa, sb := getStats(t, a.URL), getStats(t, b.URL)
+	if n := sumMethods(sa); n != 3 || sa.Solved != 3 || sa.Cache.Hits != 1 {
+		t.Fatalf("A: Σ methods %d, solved %d, cache hits %d; want 3, 3, 1 (%v)", n, sa.Solved, sa.Cache.Hits, sa.Methods)
+	}
+	if len(sb.Methods) != 0 || sb.Solved != 0 || sb.Cache.Hits+sb.Cache.Misses != 0 {
+		t.Fatalf("B served nothing but reports methods %v, solved %d, cache %+v", sb.Methods, sb.Solved, sb.Cache)
+	}
+
+	// An engine panic and a watchdog kill on A.
+	fault.Enable(fault.Plan{Seed: 5, Rate: 1, Sites: []string{fault.SiteCoreMethod}, Kinds: []fault.Kind{fault.KindPanic}})
+	status, sr := postSolve(t, a.URL, solveReq("boom", graph.Cycle(7), labeling.L21()))
+	fault.Disable()
+	if status != http.StatusInternalServerError || sr.Code != "enginePanic" {
+		t.Fatalf("panic on A: status %d code %q (%s)", status, sr.Code, sr.Error)
+	}
+	svcLeakSleep.Store(int64(time.Second))
+	defer svcLeakSleep.Store(0)
+	stuck := SolveRequest{ID: "stuck", Graph: graph.Cycle(8), P: labeling.L21(),
+		Options: &WireOptions{Method: string(svcLeakName), DeadlineMs: 100}}
+	if status, sr := postSolve(t, a.URL, stuck); status != http.StatusRequestTimeout || sr.Code != "stuckSolve" {
+		t.Fatalf("stuck solve on A: status %d code %q (%s)", status, sr.Code, sr.Error)
+	}
+
+	fa, fb := getStats(t, a.URL).Fault, getStats(t, b.URL).Fault
+	if fa.EnginePanics != 1 || len(fa.PanicsByMethod) == 0 || fa.StuckSolves != 1 || fa.WatchdogKills != 1 {
+		t.Fatalf("A's fault block %+v, want one panic and one kill", fa)
+	}
+	if fb.EnginePanics != 0 || len(fb.PanicsByMethod) != 0 || fb.StuckSolves != 0 || fb.WatchdogKills != 0 {
+		t.Fatalf("B's fault block %+v shows A's faults", fb)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -315,9 +351,6 @@ func TestReadyzQueueSaturation(t *testing.T) {
 }
 
 func TestReadyzQuarantineTrips(t *testing.T) {
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
-	defer core.ResetMethodCounts()
 	ts := newTestServer(t, &Config{QuarantineThreshold: 1, ReadyMaxTrips: 1})
 
 	fault.Enable(fault.Plan{Seed: 5, Rate: 1, Sites: []string{fault.SiteCoreMethod}, Kinds: []fault.Kind{fault.KindPanic}})

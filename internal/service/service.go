@@ -1,6 +1,6 @@
 // Package service implements lplserve's HTTP layer: a long-lived
 // concurrent L(p)-labeling service multiplexing the planner pipeline, the
-// process-wide solve cache, and a bounded worker pool across requests.
+// server's own solve cache, and a bounded worker pool across requests.
 //
 // Endpoints:
 //
@@ -14,7 +14,7 @@
 //	GET  /v1/stats   queue occupancy, admission counters, cache hit rate,
 //	                 intern-store counters, per-method solve counts, and
 //	                 the fault-containment block (panics, watchdog kills,
-//	                 quarantine state)
+//	                 quarantine state) — all of this server only
 //	GET  /healthz    liveness (is the process able to run a handler)
 //	GET  /readyz     readiness (should this instance receive traffic);
 //	                 503 with a JSON reason while the admission queue is
@@ -57,13 +57,16 @@
 // result, and a request whose deadline fires while others keep the
 // solve alive gets 408 rather than blocking past its deadline.
 //
-// All requests share one memoization cache (the core solve cache — a
-// sharded LRU fronted by singleflight coalescing), so repeated instances
-// across users are served from memory with cacheHit=true regardless of
-// which endpoint they arrive on, and N concurrent identical requests run
-// exactly one underlying solve (followers report coalesced=true). The
-// NDJSON stream reuses pooled response structs and encoder buffers, so
-// per item the serving layer allocates ~only the result itself.
+// All of a server's requests share its one memoization cache (a
+// core.SolveCache — a sharded LRU fronted by singleflight coalescing,
+// which also carries the server's stuck-solve watchdog and panic counts),
+// so repeated instances across users are served from memory with
+// cacheHit=true regardless of which endpoint they arrive on, and N
+// concurrent identical requests run exactly one underlying solve
+// (followers report coalesced=true). Two servers in one process share no
+// cache, watchdog or counter. The NDJSON stream reuses pooled response
+// structs and encoder buffers, so per item the serving layer allocates
+// ~only the result itself.
 package service
 
 import (
@@ -169,11 +172,11 @@ type Config struct {
 	// disables interning (POST /v1/graphs still returns refs, every
 	// graphRef solve 404s).
 	GraphStoreCapacity int
-	// Cache routes this server's solves through an isolated
-	// core.SolveCache instance instead of the process-wide default — one
-	// L1 + singleflight domain per serving node when several live in one
-	// process (the in-process cluster harness), or a cache with an L2
-	// tier installed (cluster peer fill). Nil uses the process default.
+	// Cache is this server's solve cache: its L1, singleflight flights,
+	// stuck-solve watchdog and panic counts, reported by /v1/stats. Pass
+	// one to size it or to install an L2 tier (cluster peer fill). Nil
+	// builds a core.DefaultCacheCapacity cache of the server's own; a
+	// server never uses the library's default cache.
 	Cache *core.SolveCache
 	// QuarantineThreshold is K: containment failures (engine panics,
 	// watchdog kills) of one (graph fingerprint, options) key before
@@ -183,12 +186,11 @@ type Config struct {
 	// QuarantineTTL is the quarantine's failure-memory window and
 	// sentence length. 0 = fault.DefaultTTL.
 	QuarantineTTL time.Duration
-	// WatchdogGrace arms the stuck-solve watchdog: a deadline-bearing
-	// solve that is still running at grace × its deadline (cooperative
-	// cancellation ignored) is force-failed with 408 code "stuckSolve".
-	// The watchdog guards the process-global solve cache, so this is a
-	// process-global knob; 0 leaves the watchdog as it is (disabled at
-	// process start).
+	// WatchdogGrace arms the stuck-solve watchdog of this server's
+	// cache: a deadline-bearing solve that is still running at grace ×
+	// its deadline (cooperative cancellation ignored) is force-failed
+	// with 408 code "stuckSolve". 0 leaves the cache's watchdog as it is
+	// (disarmed on a new cache).
 	WatchdogGrace float64
 	// ReadyHighWater is the queue-occupancy fraction of QueueDepth at
 	// which GET /readyz starts reporting 503 (drain me). Default 0.9.
@@ -239,8 +241,11 @@ type Server struct {
 
 	admitted atomic.Int64
 	rejected atomic.Int64
-	solved   atomic.Int64
 	failed   atomic.Int64
+	// methods counts successful solves per planner route
+	// (core.MethodName → *atomic.Int64); /v1/stats reports their sum as
+	// solved, so the two always agree.
+	methods sync.Map
 
 	// quarantine fast-fails instances that keep crashing or wedging
 	// (nil when disabled by config).
@@ -302,6 +307,9 @@ func NewServer(cfg *Config) *Server {
 	}
 	if c.Sched != schedFIFO {
 		c.Sched = schedEDF
+	}
+	if c.Cache == nil {
+		c.Cache = core.NewSolveCache(core.DefaultCacheCapacity)
 	}
 	quota := 0
 	if c.TenantQuota >= 0 {
@@ -428,8 +436,8 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // jsonErrorCode is jsonError with a machine-readable error code
 // ("unknownGraphRef", "enginePanic", …) carried alongside the message.
-// 429 responses go through Server.reject429 instead, which computes the
-// Retry-After hint from the observed queue drain rate.
+// 429 responses go through Server.replyError instead, which adds the
+// Retry-After hint computed from the drain schedule.
 func jsonErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -734,7 +742,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.replyError(w, err, "solve failed: %v", err)
 		return
 	}
-	s.solved.Add(1)
+	s.countSolve(res.Method)
 	// The compact binary transport (peer fill, and any client that asks):
 	// Accept: application/x-lpl-result receives the result as an LPR1
 	// frame instead of the JSON SolveResponse.
@@ -922,7 +930,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			_, code := errorReply(br.Err)
 			*line = SolveResponse{ID: br.ID, Code: code, Error: br.Err.Error()}
 		} else {
-			s.solved.Add(1)
+			s.countSolve(br.Result.Method)
 			var elapsed time.Duration
 			if loaded {
 				elapsed = time.Since(starts[idx])
@@ -963,17 +971,27 @@ func groupByOptions(opts []*core.Options) [][]int {
 	return groups
 }
 
+// countSolve counts one successful solve under the route that produced
+// it. After a route's first solve this is one lock-free map load and one
+// atomic add.
+func (s *Server) countSolve(m core.MethodName) {
+	n, ok := s.methods.Load(m)
+	if !ok {
+		n, _ = s.methods.LoadOrStore(m, new(atomic.Int64))
+	}
+	n.(*atomic.Int64).Add(1)
+}
+
 // handleStats serves GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	counts := core.MethodCounts()
-	methods := make(map[string]int64, len(counts))
-	for k, v := range counts {
-		methods[string(k)] = v
-	}
-	cacheStats := core.SolveCacheStats()
-	if s.cfg.Cache != nil {
-		cacheStats = s.cfg.Cache.Stats()
-	}
+	methods := map[string]int64{}
+	var solved int64
+	s.methods.Range(func(k, v any) bool {
+		n := v.(*atomic.Int64).Load()
+		methods[string(k.(core.MethodName))] = n
+		solved += n
+		return true
+	})
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Ready:         s.notReadyReason() == "",
@@ -982,9 +1000,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    s.cfg.QueueDepth,
 		Admitted:      s.admitted.Load(),
 		Rejected:      s.rejected.Load(),
-		Solved:        s.solved.Load(),
+		Solved:        solved,
 		Failed:        s.failed.Load(),
-		Cache:         wireCache(cacheStats),
+		Cache:         wireCache(s.cfg.Cache.Stats()),
 		Graphs:        wireIntern(s.graphs.Stats()),
 		Methods:       methods,
 		Fault:         s.faultStats(),

@@ -133,7 +133,6 @@ func solveReq(id string, g *graph.Graph, p labeling.Vector) SolveRequest {
 // /v1/solve
 
 func TestSolveEndpoint(t *testing.T) {
-	core.ResetSolveCache()
 	ts := newTestServer(t, nil)
 
 	c4 := graph.Cycle(4)
@@ -331,7 +330,6 @@ func TestAdmissionQueueBackpressure(t *testing.T) {
 // batch streaming
 
 func TestBatchNDJSONStream(t *testing.T) {
-	core.ResetSolveCache()
 	ts := newTestServer(t, &Config{Workers: 2})
 
 	// Pre-warm the cache with the instance the batch repeats, so both of
@@ -550,8 +548,6 @@ func TestHealthz(t *testing.T) {
 // and batch, overlapping instances, run under -race by CI.
 
 func TestConcurrentMixedLoad(t *testing.T) {
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
 	ts := newTestServer(t, &Config{Workers: 4, QueueDepth: 1024})
 
 	// A small pool of distinct instances, so concurrent clients overlap
@@ -666,7 +662,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if st.Cache.Hits+st.Cache.Misses < totalJobs {
 		t.Fatalf("cache lookups %d < jobs %d", st.Cache.Hits+st.Cache.Misses, totalJobs)
 	}
-	// Per-method counters were reset at test start, so they must sum to
+	// The per-method counters are this server's own, so they must sum to
 	// exactly the jobs this test solved.
 	var methodTotal int64
 	for _, v := range st.Methods {
@@ -689,8 +685,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 //	Σ method counters  == requests
 //	coalesced          ≤ hits + coalesced ≤ requests − distinct instances
 func TestServiceLoadStatsExact(t *testing.T) {
-	core.ResetSolveCache()
-	core.ResetMethodCounts()
 	ts := newTestServer(t, &Config{Workers: 4, QueueDepth: 1024})
 
 	pool := []*graph.Graph{
@@ -759,5 +753,64 @@ func TestServiceLoadStatsExact(t *testing.T) {
 	}
 	if methodTotal != clients {
 		t.Fatalf("method counters sum to %d, want %d: %v", methodTotal, clients, st.Methods)
+	}
+}
+
+// TestMethodCountRules pins what the methods block of /v1/stats counts:
+// one count per successful solve or batch item, under the route its
+// result names, and solved is their sum.
+func TestMethodCountRules(t *testing.T) {
+	ts := newTestServer(t, nil)
+	cycle := graph.Cycle(4)
+	multi := graph.DisjointUnion(graph.Path(3), graph.Cycle(4))
+	want := map[string]int64{} // successful responses per reported method
+
+	// A repeated instance counts under the method that filled the cache
+	// entry, hit or not.
+	for i := 0; i < 3; i++ {
+		status, sr := postSolve(t, ts.URL, solveReq("c4", cycle, labeling.L21()))
+		if status != http.StatusOK || sr.CacheHit != (i > 0) {
+			t.Fatalf("solve %d: status %d cacheHit %v (%s)", i, status, sr.CacheHit, sr.Error)
+		}
+		want[sr.Method]++
+	}
+	// A disconnected instance counts once, under components.
+	status, sr := postSolve(t, ts.URL, solveReq("multi", multi, labeling.L21()))
+	if status != http.StatusOK || sr.Method != string(core.MethodComponents) {
+		t.Fatalf("disconnected solve: status %d method %q (%s)", status, sr.Method, sr.Error)
+	}
+	want[sr.Method]++
+	// A failed solve counts under failed and under no method.
+	pinned := SolveRequest{ID: "pinned", Graph: multi, P: labeling.L21(), Options: &WireOptions{Method: string(core.MethodReduction)}}
+	if status, sr := postSolve(t, ts.URL, pinned); status != http.StatusUnprocessableEntity {
+		t.Fatalf("pinned reduction on a disconnected graph: status %d (%s)", status, sr.Error)
+	}
+	// Batch items count one each.
+	_, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Items: []SolveRequest{
+		solveReq("b-c4", cycle, labeling.L21()),
+		solveReq("b-multi", multi, labeling.L21()),
+		solveReq("b-p6", graph.Path(6), labeling.L21()),
+	}})
+	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		var sr SolveResponse
+		if err := json.Unmarshal(line, &sr); err != nil || sr.Error != "" {
+			t.Fatalf("batch line %s: %v", line, err)
+		}
+		want[sr.Method]++
+	}
+
+	st := getStats(t, ts.URL)
+	if len(want) != 3 || want[string(core.MethodComponents)] != 2 {
+		t.Fatalf("routes %v: want three, components twice", want)
+	}
+	var sum int64
+	for m, n := range st.Methods {
+		sum += n
+		if n != want[m] {
+			t.Errorf("methods[%s] = %d, want %d", m, n, want[m])
+		}
+	}
+	if len(st.Methods) != len(want) || sum != 7 || st.Solved != sum || st.Failed != 1 {
+		t.Fatalf("methods %v (Σ %d), solved %d, failed %d; want %v (Σ 7), 7, 1", st.Methods, sum, st.Solved, st.Failed, want)
 	}
 }

@@ -58,7 +58,7 @@ type WireOptions struct {
 	// responding. Defaults to true; only verified results enter the
 	// shared cache.
 	Verify *bool `json:"verify,omitempty"`
-	// NoCache opts this solve out of the process-wide memoization cache.
+	// NoCache opts this solve out of the server's memoization cache.
 	NoCache bool `json:"noCache,omitempty"`
 	// DeadlineMs bounds the solve in milliseconds; the server clamps it
 	// to its -max-deadline. Anytime engines return their best-so-far
@@ -173,8 +173,8 @@ type SolveResponse struct {
 	Exact     bool    `json:"exact"`
 	Approx    float64 `json:"approx,omitempty"`
 	Truncated bool    `json:"truncated,omitempty"`
-	// CacheHit reports the result was served from the process-wide solve
-	// cache shared across all requests; Coalesced additionally marks
+	// CacheHit reports the result was served from the server's solve
+	// cache shared across all its requests; Coalesced additionally marks
 	// requests that joined an identical solve already in flight
 	// (singleflight) instead of waiting for it to land in the LRU.
 	CacheHit  bool `json:"cacheHit"`
@@ -299,11 +299,13 @@ type StatsResponse struct {
 	// Completed solves and failures (across solo and batch traffic).
 	Solved int64 `json:"solved"`
 	Failed int64 `json:"failed"`
-	// Cache is the process-wide solve cache shared by every request.
+	// Cache is this server's solve cache, shared by all its requests.
 	Cache CacheWire `json:"cache"`
 	// Graphs is the intern store behind /v1/graphs and graphRef solves.
 	Graphs InternWire `json:"graphs"`
-	// Methods counts successful solves per planner route.
+	// Methods counts successful solves per planner route; Solved is
+	// their sum. A cache hit counts under the route that filled the
+	// entry, a decomposed disconnected instance once as "components".
 	Methods map[string]int64 `json:"methods"`
 	// Ready mirrors GET /readyz (true ⇔ /readyz would answer 200).
 	Ready bool `json:"ready"`
@@ -353,14 +355,17 @@ type TenantWire struct {
 type FaultWire struct {
 	// HandlerPanics were caught at the HTTP boundary (code "panic");
 	// EnginePanics and StuckSolves are containment failures seen by this
-	// server's requests; WatchdogKills is the process-wide kill count
-	// (it can exceed StuckSolves when kills land on abandoned flights).
+	// server's requests; WatchdogKills counts the flights the watchdog of
+	// this server's cache force-failed (it can exceed StuckSolves when
+	// kills land on abandoned flights).
 	HandlerPanics int64 `json:"handlerPanics"`
 	EnginePanics  int64 `json:"enginePanics"`
 	StuckSolves   int64 `json:"stuckSolves"`
 	WatchdogKills int64 `json:"watchdogKills"`
-	// PanicsByMethod attributes contained engine panics to the method
-	// that raised them (omitted while zero panics have occurred).
+	// PanicsByMethod attributes the contained panics of this server's
+	// solves to the method (or site: "pipeline", "batch") that raised
+	// them, racer panics a portfolio survived included (omitted while
+	// zero panics have occurred).
 	PanicsByMethod map[string]int64 `json:"panicsByMethod,omitempty"`
 	// Quarantine reports the poison-instance tracker.
 	Quarantine QuarantineWire `json:"quarantine"`

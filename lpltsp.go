@@ -81,7 +81,7 @@
 //
 // # Memoization
 //
-// Verified results are memoized in a process-wide sharded LRU keyed by a
+// Verified results are memoized in the library's sharded LRU keyed by a
 // canonical instance fingerprint (structural graph hash, p, and the
 // result-affecting options), consulted by Solve, SolveBatch, and
 // Portfolio: steady-state traffic with duplicate instances returns the
@@ -92,8 +92,9 @@
 // the shared solve is cancelled only when the last interested caller
 // disconnects. Cache entries are deep copies both ways and hold no
 // distance matrices, so hits are race-free and the footprint stays
-// linear. Opt out per solve with Options.NoCache; observe and size it
-// with CacheStats, ResetCache, and SetCacheCapacity.
+// linear. Opt out per solve with Options.NoCache; observe and clear it
+// with CacheStats and ResetCache. A ServeHandler never touches this
+// cache: each one builds its own unless ServeConfig.Cache names one.
 //
 // # Performance
 //
@@ -239,24 +240,11 @@ func Explain(g *Graph, p Vector, opts *Options) (*Plan, error) {
 }
 
 // CacheStats returns the hit/miss/eviction/entry counters of the
-// process-wide solve cache consulted by Solve, SolveBatch, and Portfolio.
+// library's solve cache consulted by Solve, SolveBatch, and Portfolio.
 func CacheStats() core.CacheStats { return core.SolveCacheStats() }
 
 // ResetCache empties the solve cache and zeroes its counters.
 func ResetCache() { core.ResetSolveCache() }
-
-// SetCacheCapacity resets the solve cache with a new entry budget;
-// capacity ≤ 0 disables caching process-wide.
-func SetCacheCapacity(capacity int) { core.SetSolveCacheCapacity(capacity) }
-
-// MethodCounts returns the number of successful solves per planner route
-// since process start (or the last ResetMethodCounts). Cache hits count
-// under the method that originally produced the cached result; lplserve
-// reports these through /v1/stats.
-func MethodCounts() map[Method]int64 { return core.MethodCounts() }
-
-// ResetMethodCounts zeroes the per-method solve counters.
-func ResetMethodCounts() { core.ResetMethodCounts() }
 
 // The lplserve HTTP service, embeddable in any mux. See the service wire
 // types (SolveRequest and friends) for the JSON format and cmd/lplserve
@@ -295,9 +283,10 @@ type GraphsResponse = service.GraphsResponse
 type StatsResponse = service.StatsResponse
 
 // NewServeHandler returns the lplserve HTTP handler (the /v1/solve,
-// /v1/batch, /v1/stats, and /healthz endpoints) backed by this process's
-// shared solver pipeline and memoization cache. cfg may be nil for
-// defaults. Mount it on any server or run cmd/lplserve.
+// /v1/batch, /v1/stats, and /healthz endpoints) backed by the solver
+// pipeline and a memoization cache of its own (ServeConfig.Cache, or a
+// new default-sized one). cfg may be nil for defaults. Mount it on any
+// server or run cmd/lplserve.
 func NewServeHandler(cfg *ServeConfig) http.Handler { return service.NewServer(cfg) }
 
 // Solve computes an L(p)-labeling of g through the planned pipeline: the
