@@ -279,14 +279,30 @@ func BenchmarkE7Cograph(b *testing.B) {
 	}
 }
 
-// BenchmarkA4TreeAlgorithm measures the Chang–Kuo-style exact tree solver.
+// BenchmarkA4TreeAlgorithm measures the Chang–Kuo-style exact tree solver
+// on random recursive trees and on a spider: a hub of degree 64 with legs
+// of two vertices, n = 129.
 func BenchmarkA4TreeAlgorithm(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		g := graph.RandomTree(rng.New(18), n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	spider := graph.New(1 + 2*64)
+	for leg := 0; leg < 64; leg++ {
+		spider.AddEdge(0, 1+2*leg)
+		spider.AddEdge(1+2*leg, 2+2*leg)
+	}
+	spider.Normalize()
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"n=100", graph.RandomTree(rng.New(18), 100)},
+		{"n=384", graph.RandomTree(rng.New(18), 384)},
+		{"n=1000", graph.RandomTree(rng.New(18), 1000)},
+		{"spider-64x2", spider},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := labeling.TreeLambda21(g); err != nil {
+				if _, _, err := labeling.TreeLambda21(tc.g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -334,11 +334,13 @@ func (treeMethod) Name() MethodName { return MethodTree }
 
 func isL21(p labeling.Vector) bool { return len(p) == 2 && p[0] == 2 && p[1] == 1 }
 
+func isTree(pr *Probe) bool { return pr.Connected && pr.M == pr.N-1 }
+
 func (treeMethod) Check(pr *Probe, p labeling.Vector, _ *Options) Applicability {
 	if !isL21(p) {
 		return Applicability{Reason: "tree algorithm is specific to p = (2,1)"}
 	}
-	if !pr.Connected || pr.M != pr.N-1 {
+	if !isTree(pr) {
 		return Applicability{Reason: fmt.Sprintf("not a tree (n=%d, m=%d, connected=%v)", pr.N, pr.M, pr.Connected)}
 	}
 	return Applicability{
@@ -481,11 +483,12 @@ type pmaxApproxMethod struct{}
 func (pmaxApproxMethod) Name() MethodName { return MethodPmaxApprox }
 
 func (pmaxApproxMethod) Check(pr *Probe, p labeling.Vector, opts *Options) Applicability {
-	// The first two gates are planner policy (don't pay the nd probe when
-	// a strictly better method is known to apply), not applicability:
-	// Corollary 3 itself holds on any graph. A caller pinning this method
-	// skips them, so -method pmax-approx works wherever the nd budget
-	// allows.
+	// The first three gates are planner policy (don't pay the nd probe
+	// when a strictly better method is known to apply), not
+	// applicability: Corollary 3 itself holds on any graph. A caller
+	// pinning this method skips them, so -method pmax-approx works
+	// wherever the nd budget allows. The tree gate loses no deadline
+	// reroute: the exact tree DP costs less than G² and its nd probe.
 	forced := opts != nil && opts.Method == MethodPmaxApprox
 	if !forced {
 		if _, ok := uniformValue(p); ok {
@@ -493,6 +496,9 @@ func (pmaxApproxMethod) Check(pr *Probe, p labeling.Vector, opts *Options) Appli
 		}
 		if pr.Connected && pr.Diameter <= p.K() && p.SatisfiesReductionCondition() {
 			return Applicability{Reason: "superseded: the exact reduction applies to this instance"}
+		}
+		if isL21(p) && isTree(pr) {
+			return Applicability{Reason: "superseded: the exact tree method applies to this instance"}
 		}
 	}
 	if pr.N > ndProbeMaxN {

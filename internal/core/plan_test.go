@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -137,6 +138,40 @@ func TestPlannerRouteSelection(t *testing.T) {
 		if res.Method != tc.want {
 			t.Errorf("%s: solved via %s, want %s", tc.name, res.Method, tc.want)
 		}
+	}
+}
+
+// TestPlannerTreeSupersedesPmax: on a tree with p = (2,1) the exact tree
+// method applies, so pmax-approx is superseded before its nd probe and
+// the planner never builds G² or its modular decomposition. A pinned
+// pmax-approx still bypasses the gate.
+func TestPlannerTreeSupersedesPmax(t *testing.T) {
+	g := graph.RandomTree(rng.New(47), 200)
+	pr, err := newProbe(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _, err := planSingle(pr, labeling.L21(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Chosen != MethodTree {
+		t.Fatalf("chose %s, want %s", pl.Chosen, MethodTree)
+	}
+	c := pl.Candidate(MethodPmaxApprox)
+	if c == nil || c.Applicable || !strings.Contains(c.Reason, "superseded") {
+		t.Fatalf("pmax-approx candidate %+v, want not applicable and superseded", c)
+	}
+	if pr.pow != nil || pr.ndPow != nil {
+		t.Fatalf("planning a tree built G^k (%d) or probed nd (%d)", len(pr.pow), len(pr.ndPow))
+	}
+	// The random tree's G² exceeds the nd budget; a star's is one clique.
+	res, err := Solve(graph.Star(8), labeling.L21(), &Options{Method: MethodPmaxApprox, Verify: true, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != MethodPmaxApprox {
+		t.Fatalf("forced pmax-approx solved via %s", res.Method)
 	}
 }
 

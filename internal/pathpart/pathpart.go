@@ -12,12 +12,14 @@ package pathpart
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"lpltsp/internal/graph"
 )
 
-// ExactMaxN caps the subset DP (O(2ⁿ·n²) time, O(2ⁿ·n) space).
+// ExactMaxN caps the subset DP (O(2ⁿ·(n+m)) time, 2ⁿ·n bytes: 92 MB at
+// n = 22).
 const ExactMaxN = 22
 
 // Exact returns a minimum partition of V(g) into paths, each path as a
@@ -31,14 +33,13 @@ func Exact(g *graph.Graph) ([][]int, error) {
 		return nil, nil
 	}
 	// dp[mask*n+v] = minimum number of paths needed to cover exactly the
-	// vertices of mask, where the current (last) path ends at v.
+	// vertices of mask, where the current (last) path ends at v. Values
+	// are at most n, so a byte holds them.
 	size := 1 << uint(n)
-	const inf = int32(1 << 29)
-	dp := make([]int32, size*n)
-	par := make([]int32, size*n) // encodes predecessor state
+	const inf = math.MaxUint8
+	dp := make([]uint8, size*n)
 	for i := range dp {
 		dp[i] = inf
-		par[i] = -1
 	}
 	nb := make([]uint32, n)
 	for v := 0; v < n; v++ {
@@ -53,69 +54,69 @@ func Exact(g *graph.Graph) ([][]int, error) {
 	}
 	for mask := 1; mask < size; mask++ {
 		base := mask * n
-		rest := mask
-		for rest != 0 {
-			v := bits.TrailingZeros32(uint32(rest))
-			rest &= rest - 1
+		best := uint8(inf)
+		for rest := uint32(mask); rest != 0; rest &= rest - 1 {
+			v := bits.TrailingZeros32(rest)
 			cur := dp[base+v]
-			if cur >= inf {
-				continue
-			}
+			best = min(best, cur)
 			// Extend the current path along an edge v-u.
-			ext := nb[v] &^ uint32(mask)
-			for ext != 0 {
+			for ext := nb[v] &^ uint32(mask); ext != 0; ext &= ext - 1 {
 				u := bits.TrailingZeros32(ext)
-				ext &= ext - 1
-				nm := mask | 1<<uint(u)
-				if cur < dp[nm*n+u] {
-					dp[nm*n+u] = cur
-					par[nm*n+u] = int32(base + v) // same path
+				if i := (mask|1<<uint(u))*n + u; cur < dp[i] {
+					dp[i] = cur
 				}
 			}
-			// Or close this path and start a new one at any u ∉ mask.
-			out := uint32((size - 1) &^ mask)
-			for out != 0 {
-				u := bits.TrailingZeros32(out)
-				out &= out - 1
-				nm := mask | 1<<uint(u)
-				if cur+1 < dp[nm*n+u] {
-					dp[nm*n+u] = cur + 1
-					par[nm*n+u] = int32(-(base + v) - 2) // new path marker
-				}
+		}
+		// Or close the current path where it is cheapest and start a new
+		// one at any u ∉ mask. Masks grow, so every state of mask is final
+		// here, and finite: mask ∖ {v} is covered before v starts a path.
+		for out := uint32((size - 1) &^ mask); out != 0; out &= out - 1 {
+			u := bits.TrailingZeros32(out)
+			if i := (mask|1<<uint(u))*n + u; best+1 < dp[i] {
+				dp[i] = best + 1
 			}
 		}
 	}
 	full := size - 1
-	bestV, best := -1, inf
-	for v := 0; v < n; v++ {
-		if dp[full*n+v] < best {
-			best = dp[full*n+v]
-			bestV = v
+	v := 0
+	for u := 1; u < n; u++ {
+		if dp[full*n+u] < dp[full*n+v] {
+			v = u
 		}
 	}
-	// Reconstruct.
+	// Reconstruct backwards, re-deriving each predecessor from dp: v
+	// either extended a path ending at a neighbour w with the same count,
+	// or started a new path after one ending at any w with one fewer.
 	var paths [][]int
-	cur := []int{bestV}
-	state := full*n + bestV
-	for {
-		p := par[state]
-		if p == -1 {
-			paths = append(paths, reversed(cur))
-			break
+	cur := []int{v}
+	for mask := full; ; {
+		d := dp[mask*n+v]
+		prev := mask &^ (1 << uint(v))
+		if prev == 0 {
+			return append(paths, reversed(cur)), nil
 		}
-		if p >= 0 {
-			// Same path: the previous endpoint is p%n.
-			cur = append(cur, int(p)%n)
-			state = int(p)
+		w := -1
+		for x := nb[v] & uint32(prev); x != 0 && w < 0; x &= x - 1 {
+			if u := bits.TrailingZeros32(x); dp[prev*n+u] == d {
+				w = u
+			}
+		}
+		if w >= 0 {
+			cur = append(cur, w)
 		} else {
-			// new path started at v; close it and continue from encoded state
+			for x := uint32(prev); x != 0 && w < 0; x &= x - 1 {
+				if u := bits.TrailingZeros32(x); dp[prev*n+u] == d-1 {
+					w = u
+				}
+			}
+			if w < 0 {
+				return nil, fmt.Errorf("pathpart: internal error: no predecessor of vertex %d", v)
+			}
 			paths = append(paths, reversed(cur))
-			prev := int(-p - 2)
-			cur = []int{prev % n}
-			state = prev
+			cur = []int{w}
 		}
+		mask, v = prev, w
 	}
-	return paths, nil
 }
 
 func reversed(s []int) []int {

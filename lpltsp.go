@@ -374,10 +374,18 @@ func GreedyFirstFit(g *Graph, p Vector) (Labeling, int, error) {
 	return labeling.GreedyFirstFit(g, p, labeling.OrderDegree)
 }
 
-// TreeLambda21 solves L(2,1)-LABELING exactly on trees (Chang–Kuo-style
-// Δ+1/Δ+2 decision with a matching-based feasibility DP) — the
+// TreeLambda21 solves L(2,1)-LABELING exactly on trees — the
 // class-specific polynomial algorithm the paper contrasts with the
-// diameter-gated TSP route. Errors if g is not a tree.
+// diameter-gated TSP route. It decides Δ+1 against Δ+2 (Chang–Kuo) with a
+// bottom-up DP: for each vertex v and label b it runs one matching of v's
+// children into the labels at least 2 away from b, and one
+// alternating-path sweep finds every parent label a the children can do
+// without (a is free in the matching, or an alternating path from a free
+// label reaches it). The answers fill one flat table of ⌈(span+1)/64⌉-word
+// bitsets; vertices whose subtree accepts every label pair, leaves among
+// them, store no row. Cost: span+1 matchings per vertex with a row, then
+// one matching per vertex to rebuild the labeling. Errors if g is not a
+// tree.
 func TreeLambda21(g *Graph) (Labeling, int, error) { return labeling.TreeLambda21(g) }
 
 // Diameter2Result is the Corollary 2 outcome; see SolveDiameter2.
