@@ -462,11 +462,42 @@ func BenchmarkE12Certificate(b *testing.B) {
 
 // --- substrate micro-benchmarks (allocation discipline of hot paths) ---
 
+// BenchmarkSubstrateAPSP times AllPairsDistances on both sides of its
+// sharing rule: small-diameter shapes, where the bit-parallel sweep
+// resolves many sources per vertex visit; trees, near parity; and a path
+// and a grid, which fall back to scalar BFS.
 func BenchmarkSubstrateAPSP(b *testing.B) {
-	g := lpltsp.RandomGNP(13, 500, 0.02)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.AllPairsDistances()
+	const side = 64
+	grid := graph.New(side * side)
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			v := i*side + j
+			if j+1 < side {
+				grid.AddEdge(v, v+1)
+			}
+			if i+1 < side {
+				grid.AddEdge(v, v+side)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *lpltsp.Graph
+	}{
+		{"smalldiam/n=64", lpltsp.RandomSmallDiameter(13, 64, 3, 0.1)},
+		{"smalldiam/n=1024", lpltsp.RandomSmallDiameter(13, 1024, 3, 0.1)},
+		{"diameter2/n=2048", lpltsp.RandomDiameter2(13, 2048, 0.01)},
+		{"tree/n=384", lpltsp.RandomTreeGraph(13, 384)},
+		{"tree/n=4096", lpltsp.RandomTreeGraph(13, 4096)},
+		{"path/n=4096", lpltsp.PathGraph(4096)},
+		{"grid/64x64", grid},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.g.AllPairsDistances()
+			}
+		})
 	}
 }
 

@@ -38,7 +38,7 @@ type BatchResult struct {
 type BatchOptions struct {
 	// Workers bounds the number of instances solved concurrently.
 	// Default: half of GOMAXPROCS (at least 1) — each solve already fans
-	// out internally (parallel APSP, chained restarts, portfolio racing),
+	// out internally (multi-batch APSP, chained restarts, portfolio racing),
 	// so one batch worker per core would oversubscribe the CPU and
 	// multiply peak memory by live distance matrices.
 	Workers int

@@ -308,9 +308,11 @@ func (reductionMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, 
 
 // certifiedGreedy builds the greedy-edge path of H and returns it as an
 // exact result when its weight meets LowerBound, or nil when it does not.
+// The one sweep yields both the path and the bound.
 func (r *Reduction) certifiedGreedy() (*Result, error) {
 	t1 := time.Now()
-	tour := tsp.GreedyEdgePath(r.Instance)
+	tour, mst := tsp.GreedyEdgePathMST(r.Instance)
+	r.lbOnce.Do(func() { r.lb = mst })
 	cost := r.Instance.PathCost(tour)
 	if cost != r.LowerBound() {
 		return nil, nil

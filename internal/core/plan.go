@@ -15,7 +15,8 @@ import (
 // memoized derived structure (graph powers, neighborhood diversity of
 // powers) that only some applicability checks need. The distance matrix is
 // the same one the reduction and verification reuse, so probing costs one
-// APSP — work the solve needed anyway.
+// APSP — work the solve needed anyway — and the diameter and connectivity
+// come with it.
 //
 // A Probe is built and consumed by one solve; it is not safe for
 // concurrent use (the memo maps are unsynchronized).
@@ -32,9 +33,14 @@ type Probe struct {
 	ndPow map[int]int
 }
 
-// newProbe inspects g: one parallel APSP plus O(n²) scans. The returned
-// probe owns nothing mutable in g; the distance matrix is shared read-only
-// downstream exactly as in ReduceContext's memory model.
+// newProbe inspects g with one APSP: bit-parallel sweeps over batches of
+// 64 sources, O(D·(n+m)) word operations per batch on a graph of diameter
+// D, or scalar BFS at O(n+m) per source when the first batch shows the
+// sources share too little (graph.AllPairsDistancesContext's sharing
+// rule). The sweep records the diameter and connectivity, so no scan of
+// the matrix follows. The returned probe owns nothing mutable in g; the
+// distance matrix is shared read-only downstream exactly as in
+// ReduceContext's memory model.
 func newProbe(ctx context.Context, g *graph.Graph) (*Probe, error) {
 	dm, err := g.AllPairsDistancesContext(ctx)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
+	"lpltsp/internal/mst"
 	"lpltsp/internal/rng"
 	"lpltsp/internal/tsp"
 )
@@ -400,6 +401,35 @@ func TestLowerBoundConcurrent(t *testing.T) {
 	for _, lb := range got {
 		if lb != n-1 {
 			t.Fatalf("bounds %v, want %d from every goroutine", got, n-1)
+		}
+	}
+}
+
+// TestLowerBoundMatchesPrim: the bound Kruskal takes inside the
+// greedy-edge sweep equals Prim's MST weight over H, whether the sweep ran
+// for certifiedGreedy or for a first LowerBound call. (5,3,2) breaks the
+// metric condition, so its reductions are built past Reduce's check.
+func TestLowerBoundMatchesPrim(t *testing.T) {
+	r := rng.New(2024)
+	ps := []labeling.Vector{{2, 2, 1}, {2, 1}, {1, 1}, {3, 2, 1}, {5, 3, 2}, {3, 2}}
+	var prim mst.PrimScratch
+	for i := 0; i < 1200; i++ {
+		p := ps[i%len(ps)]
+		n := 2 + r.Intn(119)
+		g := graph.RandomSmallDiameter(r, n, 1+r.Intn(p.K()), 0.3*r.Float64())
+		dm := g.AllPairsDistances()
+		diam, disc := dm.Max()
+		red, err := reduceFrom(g, p, dm, diam, !disc)
+		if err != nil {
+			t.Fatalf("reduction %d (n=%d p=%v): %v", i, n, p, err)
+		}
+		if i%2 == 0 && p.SatisfiesReductionCondition() {
+			if _, err := red.certifiedGreedy(); err != nil {
+				t.Fatalf("reduction %d (n=%d p=%v): %v", i, n, p, err)
+			}
+		}
+		if got, want := red.LowerBound(), prim.Total(n, red.Instance.Weight); got != want {
+			t.Fatalf("reduction %d (n=%d p=%v): bound %d, Prim says %d", i, n, p, got, want)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package core implements the paper's algorithm suite behind a planned
 // solver pipeline. A solve flows plan → method → engine: the instance is
-// probed once (connectivity, diameter via one parallel APSP, p-vector
+// probed once (connectivity and diameter from one APSP, p-vector
 // shape), the method planner routes it to the cheapest applicable
 // algorithm in the method registry — the Theorem 2 TSP reduction (itself
 // dispatching into the engine registry of internal/tsp, including the
@@ -55,7 +55,6 @@ import (
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
-	"lpltsp/internal/mst"
 	"lpltsp/internal/tsp"
 )
 
@@ -97,19 +96,24 @@ type Reduction struct {
 // Reduce builds the weighted complete graph H of Theorem 2:
 // w(u,v) = p_d where d = dist_G(u,v). It verifies the theorem's
 // hypotheses — connectivity, diam(G) ≤ len(p), and pmax ≤ 2·pmin — and
-// returns a typed error when one fails. Running time is O(nm) for the
-// n BFS sweeps; H is represented compactly as a weight-class view over
-// the distance matrix (see the package comment), so no weight matrix is
-// materialized.
+// returns a typed error when one fails. The cost is one APSP: ⌈n/64⌉
+// bit-parallel sweeps of O(D·(n+m)) word operations each on a graph of
+// diameter D ≤ len(p), or n scalar BFS runs, O(nm) in all, when the first
+// sweep shows the sources share too little (the sharing rule of
+// graph.AllPairsDistancesContext). The sweeps also record the diameter and
+// connectivity the hypotheses need. H is represented compactly as a
+// weight-class view over the distance matrix (see the package comment), so
+// no weight matrix is materialized.
 func Reduce(g *graph.Graph, p labeling.Vector) (*Reduction, error) {
 	return ReduceContext(context.Background(), g, p)
 }
 
-// ReduceContext is Reduce with cooperative cancellation: the parallel APSP
-// (the reduction's dominant O(nm) phase) checks ctx at every source chunk,
-// and the remaining phases check it at their boundaries. The graph is
-// normalized before the APSP fan-out, so a Reduction may be shared
-// read-only by concurrently racing engines afterwards.
+// ReduceContext is Reduce with cooperative cancellation: the APSP (the
+// reduction's dominant phase) checks ctx at every 64-source batch it
+// claims, and at every source on its scalar path, and the remaining phases
+// check it at their boundaries. The graph is normalized before the APSP
+// starts, so a Reduction may be shared read-only by concurrently racing
+// engines afterwards.
 func ReduceContext(ctx context.Context, g *graph.Graph, p labeling.Vector) (*Reduction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -211,15 +215,13 @@ func (r *Reduction) TourFromLabeling(l labeling.Labeling) (tsp.Tour, error) {
 // LowerBound returns the weight of a minimum spanning tree of H. Every
 // Hamiltonian path is a spanning tree, so no path is lighter, and by
 // Theorem 2 LowerBound() ≤ λ_p(G): a path whose weight meets it is
-// optimal. The O(n²) Prim runs once per reduction, on first call; later
-// and concurrent calls share the value.
+// optimal. The weight comes from Kruskal's algorithm run inside the
+// greedy-edge sweep (tsp.GreedyEdgePathMST), once per reduction:
+// certifiedGreedy records it with the path it builds, and a first call
+// from anywhere else runs the sweep. Later and concurrent calls share the
+// value.
 func (r *Reduction) LowerBound() int64 {
-	r.lbOnce.Do(func() {
-		if n := r.Instance.N(); n > 1 {
-			var s mst.PrimScratch
-			r.lb = s.Total(n, r.Instance.Weight)
-		}
-	})
+	r.lbOnce.Do(func() { _, r.lb = tsp.GreedyEdgePathMST(r.Instance) })
 	return r.lb
 }
 

@@ -12,10 +12,15 @@ import (
 const Unreachable = ^uint16(0)
 
 // DistMatrix is a dense n×n matrix of BFS distances. Distances are uint16;
-// Unreachable marks disconnected pairs. The diagonal is 0.
+// Unreachable marks disconnected pairs. The diagonal is 0. Only
+// AllPairsDistancesContext builds one, and it records the diameter and
+// connectivity as it goes.
 type DistMatrix struct {
 	N int
 	d []uint16
+
+	diam         int
+	disconnected bool
 }
 
 // Dist returns dist(u,v).
@@ -31,17 +36,9 @@ func (m *DistMatrix) Row(u int) []uint16 { return m.d[u*m.N : (u+1)*m.N] }
 func (m *DistMatrix) Data() []uint16 { return m.d }
 
 // Max returns the largest finite distance in the matrix (the diameter for a
-// connected graph) and whether any pair is unreachable.
-func (m *DistMatrix) Max() (max int, disconnected bool) {
-	for _, x := range m.d {
-		if x == Unreachable {
-			disconnected = true
-		} else if int(x) > max {
-			max = int(x)
-		}
-	}
-	return max, disconnected
-}
+// connected graph) and whether any pair is unreachable. Both were recorded
+// by the BFS that filled the matrix, so Max is O(1).
+func (m *DistMatrix) Max() (max int, disconnected bool) { return m.diam, m.disconnected }
 
 // BFSFrom writes BFS distances from src into dist (length n, reused across
 // calls), using queue as scratch space (length ≥ n). It returns the number
@@ -49,7 +46,8 @@ func (m *DistMatrix) Max() (max int, disconnected bool) {
 // (built lazily, shared by all queries), so repeated sweeps touch two flat
 // arrays instead of n separately allocated neighbor lists.
 func (g *Graph) BFSFrom(src int, dist []uint16, queue []int32) int {
-	return g.csrData().bfsFrom(src, dist, queue)
+	reached, _ := g.csrData().bfsFrom(src, dist, queue)
+	return reached
 }
 
 // bfsFromAdj is the adjacency-list BFS the CSR path replaced. It is kept
@@ -78,21 +76,41 @@ func (g *Graph) bfsFromAdj(src int, dist []uint16, queue []int32) int {
 	return tail
 }
 
-// AllPairsDistances computes the full BFS distance matrix. The CSR view is
-// built once before any goroutine starts; BFS sources are then distributed
-// over GOMAXPROCS workers, each owning its queue buffer and writing
-// disjoint rows, so no locking is needed and every worker traverses the
-// same two cache-local arrays. Total work is O(nm).
+// AllPairsDistances computes the full BFS distance matrix; see
+// AllPairsDistancesContext for the kernels and their cost.
 func (g *Graph) AllPairsDistances() *DistMatrix {
 	m, _ := g.AllPairsDistancesContext(context.Background())
 	return m
 }
 
-// AllPairsDistancesContext is AllPairsDistances with a cancellation
-// checkpoint at every source-chunk grab: the O(nm) fan-out is the dominant
-// cost of the labeling reduction, so deadline-bounded solves need to be
-// able to interrupt it. A partial matrix is useless, so cancellation
+// minSharing is the sharing rule's threshold: when the first batch
+// resolved fewer (source, vertex) pairs per vertex activation than this,
+// the remaining batches run the scalar BFS. Near one pair per activation
+// the sweep does its mask work for about one source and loses to scalar
+// BFS. Sweep time over scalar time on one goroutine, at the first batch's
+// sharing (BenchmarkAPSPKernels; Go 1.24, 2-vCPU VM, medians of 5):
+// 0.08–0.13 at 38–62 on small-diameter and diameter-2 graphs; 0.66 and
+// 1.1 at 7.3 and 6.5 on random trees of 384 and 4096 vertices; 0.59 at
+// 4.2 on a 16×16 grid; 0.91 at 3.5 on a 256×4 grid; 1.09 at 2.5 on a
+// 32×32 grid; 2.6 at 1.3 on a 64×64 grid; 2.0 at 1.0 on a path of 4096.
+// Graphs with n ≤ 64 are one batch and never reach the rule.
+const minSharing = 4
+
+// AllPairsDistancesContext computes the full BFS distance matrix with
+// cancellation checkpoints: a partial matrix is useless, so cancellation
 // returns ctx.Err() and no matrix.
+//
+// Sources run in batches of 64 through the bit-parallel sweep (csr.sweep),
+// which costs O(D·(n+m)) word operations per batch on a graph of diameter
+// D — the regime of the paper's reduction, where one vertex visit resolves
+// many sources at once. The caller runs the first batch itself and reads
+// its sharing: if it fell under minSharing, the remaining batches run the
+// scalar csr.bfsFrom one source at a time, O(n+m) each. Only then do
+// helpers start for the remaining batches (none when n ≤ 64), up to
+// GOMAXPROCS runners including the caller; each claims whole batches with
+// one atomic add, writes disjoint rows, and checks ctx at every claim and,
+// on the scalar path, at every source. The sweeps also record the deepest
+// level and the number of reached pairs, so Max is O(1).
 func (g *Graph) AllPairsDistancesContext(ctx context.Context) (*DistMatrix, error) {
 	cs := g.csrData()
 	n := g.N()
@@ -100,52 +118,90 @@ func (g *Graph) AllPairsDistancesContext(ctx context.Context) (*DistMatrix, erro
 	if n == 0 {
 		return m, nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	done := ctx.Done()
+	if canceled(done) {
+		return nil, ctx.Err()
 	}
-	// Lock-free chunk distribution: workers claim [lo, lo+chunk) source
-	// ranges with a single atomic add, so the fan-out has no contended
-	// mutex on its hot path.
-	var next atomic.Int32
-	grab := func(chunk int32) (int32, int32) {
-		lo := next.Add(chunk) - chunk
-		hi := lo + chunk
-		if hi > int32(n) {
-			hi = int32(n)
-		}
-		return lo, hi
-	}
-	const chunk = 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := getBFSScratch(n)
-			defer putBFSScratch(sc)
-			queue := sc.queue
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				lo, hi := grab(chunk)
-				if lo >= int32(n) {
+	sc := getSweepScratch(n)
+	first := cs.sweep(0, m.d, sc)
+	scalar := !first.sharesEnough()
+	total := apspTally{pairs: first.pairs, depth: first.depth}
+	batches := (n + batchSize - 1) / batchSize
+	if runners := min(runtime.GOMAXPROCS(0), batches-1); runners > 0 {
+		var claim atomic.Int32
+		claim.Store(1)
+		// run claims batches until none are left or ctx is done; t is the
+		// runner's own tally, read only after every runner returned.
+		run := func(t *apspTally, sc *sweepScratch) {
+			var queue []int32
+			if scalar {
+				bsc := getBFSScratch(n)
+				defer putBFSScratch(bsc)
+				queue = bsc.queue
+			} else if sc == nil {
+				sc = getSweepScratch(n)
+				defer putSweepScratch(sc)
+			}
+			for !canceled(done) {
+				b := int(claim.Add(1) - 1)
+				if b >= batches {
 					return
 				}
-				for s := lo; s < hi; s++ {
-					cs.bfsFrom(int(s), m.d[int(s)*n:int(s)*n+n], queue)
+				lo := b * batchSize
+				if !scalar {
+					st := cs.sweep(lo, m.d, sc)
+					t.add(st.pairs, st.depth)
+					continue
+				}
+				for s := lo; s < min(lo+batchSize, n); s++ {
+					if canceled(done) {
+						return
+					}
+					t.add(cs.bfsFrom(s, m.d[s*n:(s+1)*n], queue))
 				}
 			}
-		}()
+		}
+		tallies := make([]apspTally, runners)
+		var wg sync.WaitGroup
+		for i := 1; i < runners; i++ {
+			wg.Add(1)
+			go func(t *apspTally) {
+				defer wg.Done()
+				run(t, nil)
+			}(&tallies[i])
+		}
+		run(&tallies[0], sc)
+		wg.Wait()
+		for _, t := range tallies {
+			total.add(t.pairs, t.depth)
+		}
 	}
-	wg.Wait()
+	putSweepScratch(sc)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	m.diam, m.disconnected = total.depth, total.pairs != n*n
 	return m, nil
+}
+
+// apspTally accumulates what the APSP runners report: reached (source,
+// vertex) pairs and the deepest BFS level.
+type apspTally struct{ pairs, depth int }
+
+func (t *apspTally) add(pairs, depth int) {
+	t.pairs += pairs
+	t.depth = max(t.depth, depth)
+}
+
+// canceled reports whether done (a context's Done channel, nil for a
+// context that is never canceled) is closed.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // IsConnected reports whether g is connected. Empty graphs are connected.
@@ -178,39 +234,57 @@ func (g *Graph) Eccentricity(u int) (ecc int, reachesAll bool) {
 	n := g.N()
 	sc := getBFSScratch(n)
 	defer putBFSScratch(sc)
-	reached := g.BFSFrom(u, sc.dist, sc.queue)
-	for _, d := range sc.dist {
-		if d != Unreachable && int(d) > ecc {
-			ecc = int(d)
-		}
-	}
+	reached, ecc := g.csrData().bfsFrom(u, sc.dist, sc.queue)
 	return ecc, reached == n
 }
 
 // ConnectedComponents returns the vertex sets of the connected components,
-// each sorted ascending, ordered by smallest vertex.
+// each sorted ascending, ordered by smallest vertex. One traversal labels
+// every vertex with its component over a shared label array, and one
+// ascending pass over the vertices collects the members: O(n+m) in all.
 func (g *Graph) ConnectedComponents() [][]int {
+	cs := g.csrData()
 	n := g.N()
-	comp := make([]int, n)
+	comp := make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
 	}
 	sc := getBFSScratch(n)
 	defer putBFSScratch(sc)
-	var comps [][]int
+	queue := sc.queue
+	var sizes []int
 	for s := 0; s < n; s++ {
 		if comp[s] >= 0 {
 			continue
 		}
-		reached := g.BFSFrom(s, sc.dist, sc.queue)
-		members := make([]int, 0, reached)
-		for v := 0; v < n; v++ {
-			if sc.dist[v] != Unreachable && comp[v] < 0 {
-				comp[v] = len(comps)
-				members = append(members, v)
+		c := int32(len(sizes))
+		comp[s] = c
+		queue[0] = int32(s)
+		head, tail := 0, 1
+		for head < tail {
+			u := queue[head]
+			head++
+			for _, v := range cs.neighbors(int(u)) {
+				if comp[v] < 0 {
+					comp[v] = c
+					queue[tail] = v
+					tail++
+				}
 			}
 		}
-		comps = append(comps, members)
+		sizes = append(sizes, tail)
+	}
+	// One backing array; each component's slice is capped at its size, so
+	// an append by the caller reallocates instead of overrunning the next.
+	flat := make([]int, n)
+	comps := make([][]int, len(sizes))
+	off := 0
+	for c, size := range sizes {
+		comps[c] = flat[off : off : off+size]
+		off += size
+	}
+	for v, c := range comp {
+		comps[c] = append(comps[c], v)
 	}
 	return comps
 }

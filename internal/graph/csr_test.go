@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 
 	"lpltsp/internal/rng"
@@ -35,7 +36,39 @@ func csrFamilies(tb testing.TB) []*Graph {
 			RandomTree(r, 4+int(seed)*4),
 		)
 	}
+	// Sizes around the 64-source batch of the APSP sweep.
+	for i, n := range []int{63, 64, 65, 130, 200} {
+		gs = append(gs, RandomSmallDiameter(rng.New(uint64(100+i)), n, 2+i%3, 0.1))
+	}
+	gs = append(gs,
+		// Components straddling the batch boundaries at 64 and 128, with
+		// an isolated vertex between them.
+		DisjointUnion(RandomSmallDiameter(rng.New(7), 50, 3, 0.1), Cycle(30), New(1), RandomTree(rng.New(8), 60)),
+		// Multi-batch graphs with little sharing: the path and the 32×32
+		// grid take the scalar side of the APSP sharing rule, the 16×16
+		// grid sits just above it.
+		Path(200),
+		grid(16, 16),
+		grid(32, 32),
+	)
 	return gs
+}
+
+// grid builds the r×c grid graph.
+func grid(r, c int) *Graph {
+	g := New(r * c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			v := i*c + j
+			if j+1 < c {
+				g.AddEdge(v, v+1)
+			}
+			if i+1 < r {
+				g.AddEdge(v, v+c)
+			}
+		}
+	}
+	return g
 }
 
 // petersen builds the Petersen graph (outer C5, inner 5-star, spokes).
@@ -80,13 +113,16 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 
 // TestCSRBFSBitIdentical: CSR BFS produces the exact distance array — and
 // therefore the exact traversal order — of the adjacency-list BFS, and the
-// full APSP matrix matches row for row.
+// full APSP matrix matches row for row, whichever kernel the sharing rule
+// picks; both kernels are also run over every batch on their own. Max
+// agrees with a scan of the matrix.
 func TestCSRBFSBitIdentical(t *testing.T) {
 	for gi, g := range csrFamilies(t) {
 		n := g.N()
 		if n == 0 {
 			continue
 		}
+		checkAPSP(t, fmt.Sprintf("graph %d", gi), g)
 		distCSR := make([]uint16, n)
 		distAdj := make([]uint16, n)
 		queueCSR := make([]int32, n)
@@ -108,15 +144,83 @@ func TestCSRBFSBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		dm := g.AllPairsDistances()
-		for u := 0; u < n; u++ {
-			g.bfsFromAdj(u, distAdj, queueAdj)
-			row := dm.Row(u)
-			for v := 0; v < n; v++ {
-				if row[v] != distAdj[v] {
-					t.Fatalf("graph %d: APSP[%d][%d] = %d, adjacency BFS says %d", gi, u, v, row[v], distAdj[v])
-				}
+	}
+}
+
+// checkAPSP compares AllPairsDistances, a sweep-only matrix and a
+// scalar-only matrix with the adjacency-list BFS row by row, and checks
+// that Max equals a scan of the matrix and the scalar kernel's reported
+// eccentricities.
+func checkAPSP(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	n := g.N()
+	cs := g.csrData()
+	sweep := make([]uint16, n*n)
+	sc := getSweepScratch(n)
+	for lo := 0; lo < n; lo += batchSize {
+		cs.sweep(lo, sweep, sc)
+	}
+	putSweepScratch(sc)
+	scalar := make([]uint16, n*n)
+	queue := make([]int32, n)
+	eccMax := 0
+	for s := 0; s < n; s++ {
+		_, ecc := cs.bfsFrom(s, scalar[s*n:(s+1)*n], queue)
+		eccMax = max(eccMax, ecc)
+	}
+	want := make([]uint16, n*n)
+	for u := 0; u < n; u++ {
+		g.bfsFromAdj(u, want[u*n:(u+1)*n], queue)
+	}
+	dm := g.AllPairsDistances()
+	for _, k := range []struct {
+		kernel string
+		got    []uint16
+	}{{"APSP", dm.Data()}, {"sweep", sweep}, {"scalar", scalar}} {
+		for i, x := range k.got {
+			if x != want[i] {
+				t.Fatalf("%s: %s[%d][%d] = %d, adjacency BFS says %d", name, k.kernel, i/n, i%n, x, want[i])
 			}
+		}
+	}
+	scanMax, scanDisc := 0, false
+	for _, x := range want {
+		if x == Unreachable {
+			scanDisc = true
+		} else {
+			scanMax = max(scanMax, int(x))
+		}
+	}
+	if gotMax, gotDisc := dm.Max(); gotMax != scanMax || gotDisc != scanDisc || eccMax != scanMax {
+		t.Fatalf("%s: Max() = (%d, %v), scalar eccentricities %d, scan says (%d, %v)",
+			name, gotMax, gotDisc, eccMax, scanMax, scanDisc)
+	}
+}
+
+// TestSharingRuleSides pins which kernel the sharing rule gives the
+// multi-batch families of csrFamilies: the sweep for small-diameter
+// graphs, the tree and the 16×16 grid (4.2 pairs per activation), scalar
+// BFS for the path and the 32×32 grid (2.5).
+func TestSharingRuleSides(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *Graph
+		scalar bool
+	}{
+		{"smalldiam/n=130", RandomSmallDiameter(rng.New(103), 130, 2, 0.1), false},
+		{"smalldiam/n=200", RandomSmallDiameter(rng.New(104), 200, 3, 0.1), false},
+		{"tree/n=200", RandomTree(rng.New(9), 200), false},
+		{"grid/16x16", grid(16, 16), false},
+		{"path/n=200", Path(200), true},
+		{"grid/32x32", grid(32, 32), true},
+	} {
+		n := tc.g.N()
+		sc := getSweepScratch(n)
+		st := tc.g.csrData().sweep(0, make([]uint16, n*n), sc)
+		putSweepScratch(sc)
+		if got := !st.sharesEnough(); got != tc.scalar {
+			t.Errorf("%s: %d pairs over %d activations: scalar=%v, want %v",
+				tc.name, st.pairs, st.activations, got, tc.scalar)
 		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package graph provides the undirected-graph substrate used by the whole
-// library: adjacency-list graphs, breadth-first search, a parallel all-pairs
-// distance matrix, graph powers and complements, generators for the workload
+// library: adjacency-list graphs, breadth-first search, a bit-parallel
+// all-pairs distance matrix, graph powers and complements, generators for the workload
 // suites, the hardness gadgets from the paper, and a small text I/O format.
 //
 // Vertices are the integers 0..N()-1. Graphs are simple (no loops, no
 // parallel edges) and undirected. Two representations coexist: mutation
 // (AddEdge) appends to per-vertex adjacency lists, and the read side —
-// BFS, the parallel APSP fan-out, degree/neighbor scans — runs on a CSR
+// BFS, the APSP kernels, degree/neighbor scans — runs on a CSR
 // (compressed sparse row) view, one offsets array plus one flat sorted
 // neighbor array, built lazily per mutation generation alongside
 // normalization (see csr.go). The 128-bit structural Fingerprint is

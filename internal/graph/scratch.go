@@ -27,3 +27,30 @@ func getBFSScratch(n int) *bfsScratch {
 }
 
 func putBFSScratch(sc *bfsScratch) { bfsPool.Put(sc) }
+
+// sweepScratch backs the bit-parallel batch sweep: three source masks per
+// vertex (seen, frontier, next) and the active and touched vertex lists.
+// csr.sweep clears the masks before each batch, so nothing carries over.
+type sweepScratch struct {
+	seen, front, next []uint64
+	active, touched   []int32
+}
+
+var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// getSweepScratch returns a scratch with every buffer sized for n vertices.
+func getSweepScratch(n int) *sweepScratch {
+	sc := sweepPool.Get().(*sweepScratch)
+	if cap(sc.seen) < n {
+		sc.seen = make([]uint64, n)
+		sc.front = make([]uint64, n)
+		sc.next = make([]uint64, n)
+		sc.active = make([]int32, n)
+		sc.touched = make([]int32, n)
+	}
+	sc.seen, sc.front, sc.next = sc.seen[:n], sc.front[:n], sc.next[:n]
+	sc.active, sc.touched = sc.active[:n], sc.touched[:n]
+	return sc
+}
+
+func putSweepScratch(sc *sweepScratch) { sweepPool.Put(sc) }

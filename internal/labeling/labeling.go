@@ -136,7 +136,13 @@ func MergeComponents(n int, comps [][]int, labs []Labeling) (Labeling, int, erro
 
 // Verify checks that l is a valid L(p)-labeling of g: correct length,
 // nonnegative labels, and every pair at distance d ≤ len(p) separated by at
-// least p_d. O(n²) after the distance matrix.
+// least p_d. For len(p) ≤ 2 no distance matrix is built: every edge is
+// checked against p₁, and every two neighbours of a vertex that are not
+// themselves adjacent — exactly the pairs at distance 2 — against p₂, in
+// O(n + Σ deg²). The adjacency test (a binary search) runs only for a pair
+// closer than p₂, and when p₁ ≥ p₂ the first such pair is a violation,
+// since adjacent pairs already passed p₁. Longer vectors run one APSP and
+// check all pairs, O(n²) after it.
 func Verify(g *graph.Graph, p Vector, l Labeling) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -150,22 +156,28 @@ func Verify(g *graph.Graph, p Vector, l Labeling) error {
 			return fmt.Errorf("labeling: vertex %d has negative label %d", v, x)
 		}
 	}
-	dm := g.AllPairsDistances()
-	k := len(p)
+	if len(p) > 2 {
+		return VerifyWithMatrix(g.AllPairsDistances(), p, l)
+	}
 	for u := 0; u < n; u++ {
-		row := dm.Row(u)
-		for v := u + 1; v < n; v++ {
-			d := int(row[v])
-			if row[v] == graph.Unreachable || d > k {
-				continue
+		for _, v := range g.Neighbors(u) {
+			if v := int(v); v > u {
+				if diff := gap(l, u, v); diff < p[0] {
+					return violation(u, v, diff, 1, p[0])
+				}
 			}
-			diff := l[u] - l[v]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff < p[d-1] {
-				return fmt.Errorf("labeling: |l(%d)−l(%d)| = %d < p_%d = %d (distance %d)",
-					u, v, diff, d, p[d-1], d)
+		}
+	}
+	if len(p) == 1 {
+		return nil
+	}
+	for w := 0; w < n; w++ {
+		nb := g.Neighbors(w)
+		for i, a := range nb {
+			for _, b := range nb[i+1:] {
+				if diff := gap(l, int(a), int(b)); diff < p[1] && !g.HasEdge(int(a), int(b)) {
+					return violation(int(a), int(b), diff, 2, p[1])
+				}
 			}
 		}
 	}
@@ -186,15 +198,24 @@ func VerifyWithMatrix(dm *graph.DistMatrix, p Vector, l Labeling) error {
 			if row[v] == graph.Unreachable || d > k {
 				continue
 			}
-			diff := l[u] - l[v]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff < p[d-1] {
-				return fmt.Errorf("labeling: |l(%d)−l(%d)| = %d < p_%d = %d (distance %d)",
-					u, v, diff, d, p[d-1], d)
+			if diff := gap(l, u, v); diff < p[d-1] {
+				return violation(u, v, diff, d, p[d-1])
 			}
 		}
 	}
 	return nil
+}
+
+// gap returns |l(u) − l(v)|.
+func gap(l Labeling, u, v int) int {
+	if diff := l[u] - l[v]; diff >= 0 {
+		return diff
+	}
+	return l[v] - l[u]
+}
+
+// violation is Verify's error for the pair u < v at distance d whose
+// labels differ by diff < p_d = pd.
+func violation(u, v, diff, d, pd int) error {
+	return fmt.Errorf("labeling: |l(%d)−l(%d)| = %d < p_%d = %d (distance %d)", u, v, diff, d, pd, d)
 }

@@ -69,6 +69,68 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyMatchesMatrix: for len(p) ≤ 2 Verify checks from adjacency
+// alone, and must accept exactly the labelings VerifyWithMatrix accepts —
+// on solver outputs, near misses and random labelings, and with p₁ < p₂,
+// where two adjacent common neighbours need only p₁.
+func TestVerifyMatchesMatrix(t *testing.T) {
+	// A triangle under (1,2): 0 and 1 are both neighbours of 2 but also
+	// adjacent, so labels one apart are legal.
+	if err := Verify(graph.Complete(3), Vector{1, 2}, Labeling{0, 1, 2}); err != nil {
+		t.Fatalf("adjacent common neighbours need only p_1: %v", err)
+	}
+	r := rng.New(77)
+	ps := []Vector{{1}, {2, 1}, {1, 2}, {1, 1}, {3, 2}}
+	valid, invalid := 0, 0
+	for i := 0; i < 1500; i++ {
+		p := ps[i%len(ps)]
+		n := 1 + r.Intn(40)
+		var g *graph.Graph
+		switch i % 4 {
+		case 0:
+			g = graph.GNP(r, n, 0.05+0.5*r.Float64())
+		case 1:
+			g = graph.RandomTree(r, n)
+		case 2:
+			g = graph.RandomSmallDiameter(r, n, 2+r.Intn(3), 0.2)
+		default:
+			g = graph.Wheel(max(n, 4))
+			n = g.N()
+		}
+		var l Labeling
+		switch (i / 4) % 3 {
+		case 0: // a solver output
+			if i%4 == 1 && len(p) == 2 && p[0] == 2 && p[1] == 1 {
+				l, _, _ = TreeLambda21(g)
+			} else {
+				l, _, _ = GreedyFirstFit(g, p, OrderDegree)
+			}
+		case 1: // a near miss: one label of a solver output moved
+			l, _, _ = GreedyFirstFit(g, p, OrderBFS)
+			l[r.Intn(n)] = r.Intn(l.Span() + 2)
+		default: // random labels
+			l = make(Labeling, n)
+			hi := 1 + n*r.Intn(4)
+			for v := range l {
+				l[v] = r.Intn(hi)
+			}
+		}
+		got := Verify(g, p, l)
+		want := VerifyWithMatrix(g.AllPairsDistances(), p, l)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("case %d (n=%d p=%v): Verify says %v, VerifyWithMatrix says %v", i, n, p, got, want)
+		}
+		if got == nil {
+			valid++
+		} else {
+			invalid++
+		}
+	}
+	if valid < 300 || invalid < 300 {
+		t.Fatalf("%d valid and %d invalid labelings: too few of one kind to compare", valid, invalid)
+	}
+}
+
 func TestBruteForceKnownValues(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,9 +1,11 @@
 // Package mst computes minimum spanning trees. Two variants are provided:
 // a dense Prim for complete metric instances (the TSP reduction's weighted
 // graphs, O(n²) time and O(n) extra space) and a Kruskal for sparse edge
-// lists. Christofides builds its tree with PrimDense; the TSP branch and
-// bound and the reduction's path lower bound take a plain MST weight from
-// PrimScratch.Total, since every Hamiltonian path is a spanning tree.
+// lists. Christofides builds its tree with PrimDense, and the TSP branch
+// and bound takes its per-node bounds from PrimScratch.Total, since every
+// Hamiltonian path is a spanning tree. The reduction's path lower bound
+// is Kruskal's, taken inside the greedy-edge sweep (tsp.GreedyEdgePathMST),
+// which already walks H's edges in weight order.
 package mst
 
 import (

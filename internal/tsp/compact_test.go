@@ -1,9 +1,11 @@
 package tsp
 
 import (
+	"slices"
 	"testing"
 
 	"lpltsp/internal/graph"
+	"lpltsp/internal/mst"
 	"lpltsp/internal/rng"
 )
 
@@ -186,6 +188,28 @@ func TestNearestNeighborsZeroK(t *testing.T) {
 				if len(list) != 0 {
 					t.Fatalf("k=%d vertex %d: got %d neighbors, want 0", k, v, len(list))
 				}
+			}
+		}
+	}
+}
+
+// TestGreedyEdgePathMSTMatchesPrim: the Kruskal weight taken inside the
+// greedy sweep equals Prim's MST weight, on compact instances (counting
+// sort) and on dense ones with arbitrary weights (comparison sort), and
+// the sweep's path is GreedyEdgePath's.
+func TestGreedyEdgePathMSTMatchesPrim(t *testing.T) {
+	r := rng.New(305)
+	var prim mst.PrimScratch
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(60)
+		compact, _ := classInstancePair(r, n, 2+r.Intn(4))
+		for _, ins := range []*Instance{compact, randomInstance(r, n, 1+r.Intn(50))} {
+			tour, got := GreedyEdgePathMST(ins)
+			if want := prim.Total(n, ins.Weight); got != want {
+				t.Fatalf("trial %d n=%d compact=%v: Kruskal %d, Prim %d", trial, n, ins.Compact(), got, want)
+			}
+			if !slices.Equal(tour, GreedyEdgePath(ins)) {
+				t.Fatalf("trial %d n=%d: the sweep's path differs from GreedyEdgePath", trial, n)
 			}
 		}
 	}

@@ -143,11 +143,22 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 // Edges are considered in (weight, u, v) order. Compact instances reach
 // that order by a counting sort over the ≤k weight classes — O(n²) total,
 // no comparison sort; dense instances sort explicitly. All sweep state
-// (edge list, degrees, adjacency, union-find) is pooled.
+// (edge list, degrees, adjacency, union-finds) is pooled.
 func GreedyEdgePath(ins *Instance) Tour {
+	t, _ := GreedyEdgePathMST(ins)
+	return t
+}
+
+// GreedyEdgePathMST is GreedyEdgePath that also returns the weight of a
+// minimum spanning tree of the instance. Kruskal's algorithm runs on a
+// second union-find in the same (weight, u, v) loop and adds no
+// iterations: the path forest's edges are a subset of each prefix of the
+// order, so at every prefix it has at least as many components as
+// Kruskal's forest, and the tree is complete no later than the path.
+func GreedyEdgePathMST(ins *Instance) (Tour, int64) {
 	n := ins.n
 	if n <= 1 {
-		return identity(n)
+		return identity(n), 0
 	}
 	sc := getGreedyScratch(n, ins.Classes())
 	defer putGreedyScratch(sc)
@@ -191,13 +202,18 @@ func GreedyEdgePath(ins *Instance) Tour {
 			return edges[a].uv < edges[b].uv
 		})
 	}
-	deg, adj, d := sc.deg, sc.adj, &sc.d
-	taken := 0
+	deg, adj, d, kd := sc.deg, sc.adj, &sc.d, &sc.kruskal
+	taken, spanned := 0, 0
+	var mst int64
 	for _, e := range edges {
 		if taken == n-1 {
 			break
 		}
 		u, v := e.split()
+		if spanned < n-1 && kd.Union(u, v) {
+			mst += e.w
+			spanned++
+		}
 		if deg[u] >= 2 || deg[v] >= 2 || d.Same(u, v) {
 			continue
 		}
@@ -230,5 +246,5 @@ func GreedyEdgePath(ins *Instance) Tour {
 			break
 		}
 	}
-	return tour
+	return tour, mst
 }

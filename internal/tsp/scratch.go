@@ -116,15 +116,17 @@ func (e greedyEdge) split() (u, v int) { return int(e.uv >> 32), int(uint32(e.uv
 
 func packUV(u, v int) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
 
-// greedyScratch backs GreedyEdgePath: the edge list (n(n-1)/2 entries, by
-// far the largest heuristic allocation), degree counters, path adjacency,
-// and counting-sort offsets for compact instances.
+// greedyScratch backs GreedyEdgePathMST: the edge list (n(n-1)/2 entries,
+// by far the largest heuristic allocation), degree counters, path
+// adjacency, counting-sort offsets for compact instances, and the
+// union-finds of the path forest and of Kruskal's forest.
 type greedyScratch struct {
-	edges []greedyEdge
-	deg   []int8
-	adj   [][2]int32
-	cnt   []int32
-	d     dsu.DSU
+	edges   []greedyEdge
+	deg     []int8
+	adj     [][2]int32
+	cnt     []int32
+	d       dsu.DSU
+	kruskal dsu.DSU
 }
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
@@ -154,6 +156,7 @@ func getGreedyScratch(n, classes int) *greedyScratch {
 		sc.cnt[i] = 0
 	}
 	sc.d.Reset(n)
+	sc.kruskal.Reset(n)
 	return sc
 }
 
