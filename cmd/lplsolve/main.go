@@ -11,9 +11,11 @@
 //	lplsolve -p 2,1 -algo portfolio -workers 4 a.col b.col c.col
 //
 // With one input (file or stdin) the output reports the span, the method
-// that solved it (TSP reduction, diameter-2 path partition, FPT coloring,
-// tree algorithm, pmax-approximation, first-fit fallback, or component
-// decomposition), whether it is provably optimal, and the labeling. With
+// that solved it (TSP reduction, FPT coloring, tree algorithm,
+// pmax-approximation, first-fit fallback, or component decomposition),
+// the engine or certificate behind a reduction answer (greedy or
+// pathcover when no engine ran), whether it is provably optimal, and the
+// labeling. With
 // several input files the instances are streamed through a bounded worker
 // pool (batch mode) and one summary line is printed per instance as it
 // completes; repeated instances are served from the solve cache.
@@ -46,7 +48,7 @@ func main() {
 	var (
 		pFlag    = flag.String("p", "2,1", "constraint vector p, comma-separated (e.g. 2,1)")
 		algoFlag = flag.String("algo", "exact", "engine: exact|heldkarp|bnb|christofides|chained|2opt|3opt|nn|greedy|portfolio, or auto to let the planner route freely")
-		method   = flag.String("method", "", "pin a planner method: reduction|tree|diameter2|fpt-coloring|pmax-approx|greedy (empty = plan automatically)")
+		method   = flag.String("method", "", "pin a planner method: reduction|tree|fpt-coloring|pmax-approx|greedy (empty = plan automatically)")
 		explain  = flag.Bool("explain", false, "print the routing decision (chosen method, applicability reasons, cache hit/miss)")
 		noCache  = flag.Bool("nocache", false, "bypass the solve cache")
 		timeout  = flag.Duration("timeout", 0, "deadline per instance (0 = none); anytime engines return their incumbent")

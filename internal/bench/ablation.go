@@ -13,7 +13,8 @@ import (
 	"lpltsp/internal/tsp"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out:
+// Ablation experiments for the design choices that stand in for the
+// paper's algorithms or that the solver makes on its own:
 // A1 — which local-search moves earn their keep;
 // A2 — exact blossom matching vs greedy matching inside Christofides;
 // A3 — parallel vs sequential all-pairs BFS;

@@ -1,6 +1,6 @@
 // Package bench implements the experiment harness: every claim of the
-// paper (DESIGN.md §3, experiments E1–E12) has a function here that runs
-// the corresponding workload sweep and renders a table. The cmd/lplbench
+// paper checked here (experiments E1–E12) has a function that runs the
+// corresponding workload sweep and renders a table. The cmd/lplbench
 // binary prints all of them; the root-level bench_test.go wires them into
 // testing.B benchmarks.
 package bench

@@ -289,8 +289,8 @@ func TestGriggsYehGadget(t *testing.T) {
 	}
 }
 
-// TestL21Diameter2ViaHamPathGadget combines both gadgets end-to-end
-// (Theorem 1 → Theorem 3 composition).
+// TestSolveOptionsDefaults: nil options route freely, and pinning an
+// engine keeps the reduction's engine provenance.
 func TestSolveOptionsDefaults(t *testing.T) {
 	g := graph.Complete(5)
 	res, err := Solve(g, labeling.L21(), nil)
@@ -300,12 +300,11 @@ func TestSolveOptionsDefaults(t *testing.T) {
 	if !res.Exact || res.Span != labeling.CompleteLambda21(5) {
 		t.Fatalf("K5: span %d exact %v", res.Span, res.Exact)
 	}
-	// With no pinned engine the planner routes freely; K5 is a k=2
-	// instance inside the path-partition DP's reach, so the Corollary 2
-	// route wins on cost and the result carries method provenance
-	// instead of an engine name.
-	if res.Method != MethodDiameter2 || res.Approx != 1 {
-		t.Fatalf("K5 auto route: method=%s approx=%v", res.Method, res.Approx)
+	// With no pinned engine the planner routes freely; K5 has diameter 1,
+	// so every pair of H weighs p₁, the greedy-edge path meets the
+	// spanning-tree bound, and no engine runs.
+	if res.Method != MethodReduction || res.Algorithm != tsp.AlgoGreedyEdge || res.Approx != 1 {
+		t.Fatalf("K5 auto route: method=%s algorithm=%s approx=%v", res.Method, res.Algorithm, res.Approx)
 	}
 	// Pinning the engine restores the classical reduction provenance.
 	res, err = Solve(g, labeling.L21(), &Options{Algorithm: tsp.AlgoExact})

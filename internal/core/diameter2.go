@@ -12,8 +12,9 @@ import (
 type Diameter2Result struct {
 	Labeling labeling.Labeling
 	Span     int
-	// Paths is the optimal partition into paths (of G if p ≤ q, of the
-	// complement if p > q) that realizes the span.
+	// Paths is the partition into paths (of G if p ≤ q, of the
+	// complement if p > q) that realizes the span: a minimum one wherever
+	// SolveDiameter2's span is exact.
 	Paths [][]int
 	// OnComplement reports which graph the partition lives on.
 	OnComplement bool
@@ -28,7 +29,11 @@ type Diameter2Result struct {
 // complement Ḡ (p > q). The returned labeling is built by concatenating
 // the paths along a Hamiltonian path of the reduced weighted graph H:
 // consecutive vertices inside a path cost min(p,q), path switches cost
-// max(p,q).
+// max(p,q). The paths come from the reduction's cover helper: the greedy
+// cover when it meets the matching bound on s, the subset DP for n ≤
+// pathpart.ExactMaxN, the cotree cover when the partitioned graph is a
+// cograph, and otherwise the greedy cover, whose span is then only an
+// upper bound on λ.
 func SolveDiameter2(g *graph.Graph, p, q int) (*Diameter2Result, error) {
 	if p < 0 || q < 0 {
 		return nil, fmt.Errorf("core: negative p or q")
@@ -48,20 +53,6 @@ func SolveDiameter2(g *graph.Graph, p, q int) (*Diameter2Result, error) {
 	if diam > 2 {
 		return nil, fmt.Errorf("%w (diameter %d > 2)", ErrDiameterExceedsK, diam)
 	}
-	res, _, err := solveDiameter2Partition(g, p, q)
-	return res, err
-}
-
-// solveDiameter2Partition is the partition body of SolveDiameter2 with the
-// preconditions already checked (the method planner's probe has verified
-// them). The second return reports whether the produced span is exact:
-// true for the subset DP and the cotree construction, false for the
-// greedy fallback beyond their reach.
-func solveDiameter2Partition(g *graph.Graph, p, q int) (*Diameter2Result, bool, error) {
-	n := g.N()
-	if n == 0 {
-		return &Diameter2Result{Labeling: labeling.Labeling{}}, true, nil
-	}
 	// Partition host: paths of weight-min edges. For p ≤ q the cheap edges
 	// are the distance-1 pairs (edges of G); for p > q they are the
 	// distance-2 pairs (edges of Ḡ).
@@ -73,28 +64,11 @@ func solveDiameter2Partition(g *graph.Graph, p, q int) (*Diameter2Result, bool, 
 		onComp = true
 		lo, hi = q, p
 	}
-	exact := true
-	var paths [][]int
-	var err error
-	switch {
-	case n <= pathpart.ExactMaxN:
-		paths, err = pathpart.Exact(host)
-		if err != nil {
-			return nil, false, err
-		}
-	default:
-		// Past the DP's reach: cographs still get an exact cover from the
-		// cotree construction; everything else falls back to the greedy
-		// heuristic (span remains a valid upper bound on λ).
-		if cp, cerr := pathpart.CographPaths(host); cerr == nil {
-			paths = cp
-		} else {
-			paths = pathpart.Greedy(host)
-			exact = false
-		}
+	paths, _, err := coverPaths(host, pathCoverBound(host))
+	if err != nil {
+		return nil, err
 	}
-	s := len(paths)
-	span := (n-1)*lo + (hi-lo)*(s-1)
+	span := (n-1)*lo + (hi-lo)*(len(paths)-1)
 
 	// Build the labeling: concatenate paths; consecutive labels advance by
 	// lo within a path and hi across path boundaries. Degenerate case
@@ -114,7 +88,7 @@ func solveDiameter2Partition(g *graph.Graph, p, q int) (*Diameter2Result, bool, 
 			lab[v] = acc
 		}
 	}
-	return &Diameter2Result{Labeling: lab, Span: span, Paths: paths, OnComplement: onComp}, exact, nil
+	return &Diameter2Result{Labeling: lab, Span: span, Paths: paths, OnComplement: onComp}, nil
 }
 
 // LambdaCograph computes λ_{p,q}(G) exactly for a connected cograph of

@@ -9,7 +9,6 @@ import (
 
 	"lpltsp/internal/coloring"
 	"lpltsp/internal/labeling"
-	"lpltsp/internal/pathpart"
 	"lpltsp/internal/tsp"
 )
 
@@ -21,17 +20,15 @@ type MethodName string
 
 const (
 	// MethodReduction is Theorem 2: reduce to METRIC PATH TSP and run a
-	// TSP engine (or the portfolio). Needs a connected graph with
-	// diam(G) ≤ dim(p) and pmax ≤ 2·pmin.
+	// TSP engine (or the portfolio), unless a certificate answers first:
+	// a greedy-edge path that meets Reduction.LowerBound, or, on a
+	// two-weight instance, Corollary 2's exact path cover of H_a. Needs
+	// a connected graph with diam(G) ≤ dim(p) and pmax ≤ 2·pmin.
 	MethodReduction MethodName = "reduction"
 	// MethodTree is the Chang–Kuo-style exact L(2,1) tree algorithm — the
 	// class-specific polynomial route the paper contrasts with the
 	// reduction. Needs a tree and p = (2,1).
 	MethodTree MethodName = "tree"
-	// MethodDiameter2 is Corollary 2: PARTITION INTO PATHS on G or its
-	// complement. Needs k = 2, diam(G) ≤ 2, and pmax ≤ 2·pmin; exact up
-	// to the subset DP's reach, a cotree/greedy upper bound beyond.
-	MethodDiameter2 MethodName = "diameter2"
 	// MethodFPTColoring is Theorem 4: for uniform p = (c,…,c), an optimal
 	// labeling is c times an optimal coloring of Gᵏ, computed FPT in
 	// neighborhood diversity. No diameter condition.
@@ -151,7 +148,6 @@ func Methods() []MethodName {
 func init() {
 	RegisterMethod(reductionMethod{})
 	RegisterMethod(treeMethod{})
-	RegisterMethod(diameter2Method{})
 	RegisterMethod(fptColoringMethod{})
 	RegisterMethod(pmaxApproxMethod{})
 	RegisterMethod(greedyMethod{})
@@ -181,7 +177,7 @@ func (reductionMethod) Name() MethodName { return MethodReduction }
 // effectiveReductionAlgo resolves the engine the reduction method would
 // run: the pinned Options.Algorithm when set, otherwise the exact engine
 // within its reach and the portfolio roster beyond it (unless Solve's
-// spanning-tree certificate answers first).
+// certificate answers first).
 func effectiveReductionAlgo(pr *Probe, opts *Options) tsp.Algorithm {
 	if opts != nil && opts.Algorithm != "" {
 		return opts.Algorithm
@@ -261,10 +257,11 @@ func (reductionMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, 
 		return nil, err
 	}
 	if opts == nil || opts.Algorithm == "" {
-		// Certify before racing: when the greedy-edge path already meets
-		// the spanning-tree bound it is optimal, and no engine starts. A
-		// pinned engine skips this and keeps its own semantics.
-		if res, err := red.certifiedGreedy(); res != nil || err != nil {
+		// Certify before racing: a greedy-edge path that meets the bound,
+		// or an exact path cover on a two-weight instance, is optimal,
+		// and no engine starts. A pinned engine skips this and keeps its
+		// own semantics.
+		if res, err := red.certify(); res != nil || err != nil {
 			return res, err
 		}
 	}
@@ -306,27 +303,6 @@ func (reductionMethod) Solve(ctx context.Context, pr *Probe, p labeling.Vector, 
 	return res, nil
 }
 
-// certifiedGreedy builds the greedy-edge path of H and returns it as an
-// exact result when its weight meets LowerBound, or nil when it does not.
-// The one sweep yields both the path and the bound.
-func (r *Reduction) certifiedGreedy() (*Result, error) {
-	t1 := time.Now()
-	tour, mst := tsp.GreedyEdgePathMST(r.Instance)
-	r.lbOnce.Do(func() { r.lb = mst })
-	cost := r.Instance.PathCost(tour)
-	if cost != r.LowerBound() {
-		return nil, nil
-	}
-	res, err := r.resultFromTour(tour, tsp.AlgoGreedyEdge, tsp.Stats{Cost: cost, Optimal: true}, false)
-	if err != nil {
-		return nil, err
-	}
-	res.SolveTime = time.Since(t1)
-	res.Method = MethodReduction
-	res.Approx = 1
-	return res, nil
-}
-
 // ---------------------------------------------------------------------------
 // tree
 
@@ -362,63 +338,6 @@ func (treeMethod) Solve(_ context.Context, pr *Probe, p labeling.Vector, _ *Opti
 		return nil, fmt.Errorf("core: method %s: %w", MethodTree, err)
 	}
 	return &Result{Labeling: lab, Span: span, Exact: true, Approx: 1, Method: MethodTree}, nil
-}
-
-// ---------------------------------------------------------------------------
-// diameter2
-
-type diameter2Method struct{}
-
-func (diameter2Method) Name() MethodName { return MethodDiameter2 }
-
-func (diameter2Method) Check(pr *Probe, p labeling.Vector, _ *Options) Applicability {
-	if len(p) != 2 {
-		return Applicability{Reason: fmt.Sprintf("PARTITION INTO PATHS route needs k=2, got k=%d", len(p))}
-	}
-	if !p.SatisfiesReductionCondition() {
-		pmin, pmax := p.MinMax()
-		return Applicability{
-			Reason: fmt.Sprintf("pmax=%d > 2·pmin=%d breaks Corollary 2's hypothesis", pmax, 2*pmin),
-			Err:    fmt.Errorf("%w (p=%d, q=%d)", ErrConditionViolated, p[0], p[1]),
-		}
-	}
-	if !pr.Connected {
-		return Applicability{Reason: "graph is disconnected", Err: ErrDisconnected}
-	}
-	if pr.Diameter > 2 {
-		return Applicability{
-			Reason: fmt.Sprintf("diameter %d > 2", pr.Diameter),
-			Err:    fmt.Errorf("%w (diameter %d > 2)", ErrDiameterExceedsK, pr.Diameter),
-		}
-	}
-	if pr.N <= pathpart.ExactMaxN {
-		return Applicability{
-			OK:     true,
-			Exact:  true,
-			Cost:   expCost(pr.N) * float64(pr.N),
-			Reason: fmt.Sprintf("diam ≤ 2, k=2: exact path-partition DP (n ≤ %d)", pathpart.ExactMaxN),
-		}
-	}
-	return Applicability{
-		OK:     true,
-		Cost:   float64(pr.N) * float64(pr.N),
-		Reason: fmt.Sprintf("diam ≤ 2, k=2 but n > %d: cotree/greedy partition gives an upper bound only", pathpart.ExactMaxN),
-	}
-}
-
-func (diameter2Method) Solve(_ context.Context, pr *Probe, p labeling.Vector, _ *Options) (*Result, error) {
-	if len(p) != 2 {
-		return nil, fmt.Errorf("core: method %s needs k=2, got %v", MethodDiameter2, p)
-	}
-	d2, exact, err := solveDiameter2Partition(pr.G, p[0], p[1])
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Labeling: d2.Labeling, Span: d2.Span, Exact: exact, Method: MethodDiameter2}
-	if exact {
-		res.Approx = 1
-	}
-	return res, nil
 }
 
 // ---------------------------------------------------------------------------

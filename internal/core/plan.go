@@ -69,16 +69,7 @@ func (pr *Probe) PowerGraph(k int) *graph.Graph {
 	if h, ok := pr.pow[k]; ok {
 		return h
 	}
-	h := graph.New(pr.N)
-	for u := 0; u < pr.N; u++ {
-		row := pr.Dist.Row(u)
-		for v := u + 1; v < pr.N; v++ {
-			if row[v] != graph.Unreachable && int(row[v]) <= k {
-				h.AddEdge(u, v)
-			}
-		}
-	}
-	h.Normalize()
+	h := pr.Dist.Power(k)
 	pr.pow[k] = h
 	return h
 }

@@ -121,7 +121,7 @@ func TestPlannerRouteSelection(t *testing.T) {
 		p    labeling.Vector
 		want MethodName
 	}{
-		{"diam2 small → diameter2", graph.RandomDiameter2(r, 12, 0.3), labeling.L21(), MethodDiameter2},
+		{"diam2 small → reduction", graph.RandomDiameter2(r, 12, 0.3), labeling.L21(), MethodReduction},
 		{"tree L21 → tree", graph.RandomTree(r, 200), labeling.L21(), MethodTree},
 		{"uniform p low nd diam>k → fpt", cliquePath(4, 3), labeling.Ones(2), MethodFPTColoring},
 		{"k3 small → reduction", graph.RandomSmallDiameter(r, 12, 3, 0.3), labeling.Vector{2, 2, 1}, MethodReduction},
@@ -228,7 +228,7 @@ func TestPlannerForcedMethodErrors(t *testing.T) {
 	if _, err := Solve(graph.New(2), labeling.L21(), &Options{Method: MethodReduction}); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("want ErrDisconnected, got %v", err)
 	}
-	if _, err := Solve(graph.Path(9), labeling.L21(), &Options{Method: MethodDiameter2}); !errors.Is(err, ErrDiameterExceedsK) {
+	if _, err := Solve(graph.Path(9), labeling.L21(), &Options{Method: MethodReduction}); !errors.Is(err, ErrDiameterExceedsK) {
 		t.Fatalf("want ErrDiameterExceedsK, got %v", err)
 	}
 	if _, err := Solve(graph.Complete(3), labeling.Vector{5, 1}, &Options{Method: MethodReduction}); !errors.Is(err, ErrConditionViolated) {
@@ -379,9 +379,12 @@ func TestPortfolioCertificateEndsRace(t *testing.T) {
 	}
 }
 
-// TestLowerBoundConcurrent: the spider's edges are H's weight-1 class and
-// span it, so the bound is n-1; racers may share a Reduction, so first
-// calls from several goroutines must agree (run under -race).
+// TestLowerBoundConcurrent: the spider's edges are H's weight-1 class, a
+// tree with centre 0, legs 1-2, 3-4, 5-6 and leaves 7…19. Its double cover
+// is two copies of the spider, whose matchings have 4 edges, so at least
+// 20 − 8 = 12 paths cover it and the bound is 19·1 + 1·(12 − 1) = 30.
+// Racers may share a Reduction, so first calls from several goroutines
+// must agree (run under -race).
 func TestLowerBoundConcurrent(t *testing.T) {
 	const n = 20
 	red, err := Reduce(spiderComplement(n), labeling.L21())
@@ -399,20 +402,24 @@ func TestLowerBoundConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for _, lb := range got {
-		if lb != n-1 {
-			t.Fatalf("bounds %v, want %d from every goroutine", got, n-1)
+		if lb != 30 {
+			t.Fatalf("bounds %v, want 30 from every goroutine", got)
 		}
 	}
 }
 
-// TestLowerBoundMatchesPrim: the bound Kruskal takes inside the
-// greedy-edge sweep equals Prim's MST weight over H, whether the sweep ran
-// for certifiedGreedy or for a first LowerBound call. (5,3,2) breaks the
-// metric condition, so its reductions are built past Reduce's check.
+// TestLowerBoundMatchesPrim: on instances with one weight, or with three
+// or more, the bound Kruskal takes inside the greedy-edge sweep equals
+// Prim's MST weight over H, whether the sweep ran for certify or for a
+// first LowerBound call. On two-weight instances it is the path-cover
+// formula, with ν from a plain augmenting-path matching, and never below
+// Prim. (5,3,2) breaks the metric condition, so its reductions are built
+// past Reduce's check; (2,2,1,1) reaches diameters 3 and 4.
 func TestLowerBoundMatchesPrim(t *testing.T) {
 	r := rng.New(2024)
-	ps := []labeling.Vector{{2, 2, 1}, {2, 1}, {1, 1}, {3, 2, 1}, {5, 3, 2}, {3, 2}}
+	ps := []labeling.Vector{{2, 2, 1}, {2, 1}, {1, 1}, {3, 2, 1}, {5, 3, 2}, {3, 2}, {1, 2}, {2, 2, 1, 1}}
 	var prim mst.PrimScratch
+	twoWeight, other := 0, 0
 	for i := 0; i < 1200; i++ {
 		p := ps[i%len(ps)]
 		n := 2 + r.Intn(119)
@@ -424,13 +431,27 @@ func TestLowerBoundMatchesPrim(t *testing.T) {
 			t.Fatalf("reduction %d (n=%d p=%v): %v", i, n, p, err)
 		}
 		if i%2 == 0 && p.SatisfiesReductionCondition() {
-			if _, err := red.certifiedGreedy(); err != nil {
+			if _, err := red.certify(); err != nil {
 				t.Fatalf("reduction %d (n=%d p=%v): %v", i, n, p, err)
 			}
 		}
-		if got, want := red.LowerBound(), prim.Total(n, red.Instance.Weight); got != want {
-			t.Fatalf("reduction %d (n=%d p=%v): bound %d, Prim says %d", i, n, p, got, want)
+		got, tree := red.LowerBound(), prim.Total(n, red.Instance.Weight)
+		a, b, ok := refWeights(p, diam)
+		if !ok {
+			other++
+			if got != tree {
+				t.Fatalf("reduction %d (n=%d p=%v diam %d): bound %d, Prim says %d", i, n, p, diam, got, tree)
+			}
+			continue
 		}
+		twoWeight++
+		want := int64(n-1)*a + (b-a)*int64(refCoverPaths(dm, p, a)-1)
+		if got != want || got < tree {
+			t.Fatalf("reduction %d (n=%d p=%v diam %d): bound %d, path-cover formula %d, Prim %d", i, n, p, diam, got, want, tree)
+		}
+	}
+	if twoWeight < 300 || other < 300 {
+		t.Fatalf("%d two-weight and %d other instances; want at least 300 of each", twoWeight, other)
 	}
 }
 

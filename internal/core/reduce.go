@@ -2,16 +2,20 @@
 // solver pipeline. A solve flows plan → method → engine: the instance is
 // probed once (connectivity and diameter from one APSP, p-vector
 // shape), the method planner routes it to the cheapest applicable
-// algorithm in the method registry — the Theorem 2 TSP reduction (itself
-// dispatching into the engine registry of internal/tsp, including the
-// portfolio race), the Corollary 2 PARTITION INTO PATHS route on
-// diameter-2 graphs, the Theorem 4 FPT coloring for uniform p, the exact
-// L(2,1) tree algorithm, the Corollary 3 pmax-approximation, or the
-// first-fit fallback — and disconnected inputs are decomposed into
-// components solved independently (λ = max over components). Every input
-// therefore gets a labeling; the typed precondition errors below are
-// returned only by the direct reduction entry points (Reduce, Portfolio)
-// and by solves that pin Options.Method.
+// algorithm in the method registry — the Theorem 2 TSP reduction, the
+// Theorem 4 FPT coloring for uniform p, the exact L(2,1) tree algorithm,
+// the Corollary 3 pmax-approximation, or the first-fit fallback — and
+// disconnected inputs are decomposed into components solved
+// independently (λ = max over components). The reduction answers first
+// from a certificate when it can: a greedy-edge path that meets
+// Reduction.LowerBound, or, when p takes two values at the graph's
+// distances, an exact path cover of the lighter weight's graph
+// (Corollary 2's PARTITION INTO PATHS, for any k; provenance
+// AlgoPathCover). Otherwise it dispatches into the engine registry of
+// internal/tsp, including the portfolio race. Every input therefore gets
+// a labeling; the typed precondition errors below are returned only by
+// the direct reduction entry points (Reduce, Portfolio) and by solves
+// that pin Options.Method.
 //
 // The original contribution remains the O(nm) reduction from
 // L(p)-LABELING on graphs of diameter at most k = dim(p) to METRIC PATH
@@ -91,6 +95,10 @@ type Reduction struct {
 
 	lbOnce sync.Once
 	lb     int64
+	// On a two-weight instance, LowerBound also keeps H_a, the graph of
+	// the lighter weight's pairs, and its path-count bound for certify.
+	light    *graph.Graph
+	minPaths int
 }
 
 // Reduce builds the weighted complete graph H of Theorem 2:
@@ -212,16 +220,34 @@ func (r *Reduction) TourFromLabeling(l labeling.Labeling) (tsp.Tour, error) {
 	return t, nil
 }
 
-// LowerBound returns the weight of a minimum spanning tree of H. Every
-// Hamiltonian path is a spanning tree, so no path is lighter, and by
-// Theorem 2 LowerBound() ≤ λ_p(G): a path whose weight meets it is
-// optimal. The weight comes from Kruskal's algorithm run inside the
-// greedy-edge sweep (tsp.GreedyEdgePathMST), once per reduction:
-// certifiedGreedy records it with the path it builds, and a first call
-// from anywhere else runs the sweep. Later and concurrent calls share the
-// value.
-func (r *Reduction) LowerBound() int64 {
-	r.lbOnce.Do(func() { _, r.lb = tsp.GreedyEdgePathMST(r.Instance) })
+// LowerBound returns a lower bound on the weight of every Hamiltonian
+// path of H, so by Theorem 2 LowerBound() ≤ λ_p(G), and a path whose
+// weight meets it is optimal. When p takes exactly two values a < b at
+// the graph's distances, it is the path-cover bound (n−1)·a +
+// (b−a)·(Σ_C max(1, |C| − ν_C) − 1), C ranging over the components of
+// H_a and ν_C the maximum matching of C's bipartite double cover (see
+// pathcover.go): one O(n²) pass builds H_a and one Hopcroft–Karp run
+// matches it. Otherwise it is the weight of a minimum spanning tree of H,
+// which every Hamiltonian path is, from Kruskal's algorithm run inside
+// the greedy-edge sweep (tsp.GreedyEdgePathMST). The bound is computed
+// once per reduction: certify supplies the sweep it runs anyway, and a
+// first call from anywhere else runs what it needs. Later and concurrent
+// calls share the value.
+func (r *Reduction) LowerBound() int64 { return r.lowerBound(-1) }
+
+// lowerBound is LowerBound given the spanning-tree weight mst of a
+// greedy-edge sweep the caller already ran, or -1 when it ran none.
+func (r *Reduction) lowerBound(mst int64) int64 {
+	r.lbOnce.Do(func() {
+		if a, b, ok := r.twoWeights(); ok {
+			r.lb = r.coverBound(a, b)
+			return
+		}
+		if mst < 0 {
+			_, mst = tsp.GreedyEdgePathMST(r.Instance)
+		}
+		r.lb = mst
+	})
 	return r.lb
 }
 

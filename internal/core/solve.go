@@ -18,6 +18,12 @@ import (
 // it composes registered engines rather than being one.
 const AlgoPortfolio tsp.Algorithm = "portfolio"
 
+// AlgoPathCover is the provenance (Result.Algorithm and Result.Winner) of
+// a reduction solve answered by an exact path cover of H_a, the graph of
+// the lighter weight's pairs on a two-weight instance: no engine ran.
+// It is not a registered engine, so it cannot be pinned.
+const AlgoPathCover tsp.Algorithm = "pathcover"
+
 // Result is the outcome of solving an L(p)-LABELING instance.
 type Result struct {
 	Labeling labeling.Labeling
@@ -27,8 +33,10 @@ type Result struct {
 	Tour tsp.Tour
 	// Exact reports whether the span is provably optimal, Span ==
 	// λ_p(G): an exact method or engine ran to completion, or, on the
-	// reduction route, the path met the spanning-tree bound
-	// (Reduction.LowerBound), which no Hamiltonian path can undercut.
+	// reduction route, the path met Reduction.LowerBound, which no
+	// Hamiltonian path can undercut (the path-cover bound on two-weight
+	// instances, the spanning-tree bound otherwise), or the path walks a
+	// minimum path cover of H_a (AlgoPathCover).
 	Exact bool
 	// Approx is the guaranteed approximation factor when known: 1 for
 	// exact results, 1.5 for the Christofides route, pmax for the
@@ -43,9 +51,11 @@ type Result struct {
 	Method MethodName
 	// Algorithm is the TSP engine that ran (reduction method only): the
 	// pinned or planner-chosen engine, or AlgoPortfolio for races, where
-	// Winner names the engine whose tour won. An unpinned solve whose
-	// greedy-edge path met the spanning-tree bound started no engine and
-	// reports tsp.AlgoGreedyEdge as both.
+	// Winner names the engine whose tour won. An unpinned solve answered
+	// by a certificate started no engine: it reports tsp.AlgoGreedyEdge
+	// as both when the greedy-edge path met Reduction.LowerBound, and
+	// AlgoPathCover as both when an exact path cover of H_a answered a
+	// two-weight instance.
 	Algorithm tsp.Algorithm
 	Winner    tsp.Algorithm
 	// Stats carries the TSP engine's run statistics (reduction method).
@@ -142,9 +152,10 @@ type Options struct {
 
 // Solve solves L(p)-LABELING on g through the planned pipeline: the
 // instance is probed (connectivity, diameter, p-shape), routed to the
-// cheapest applicable method — the Theorem 2 TSP reduction, the Corollary
-// 2 path partition, the Theorem 4 FPT coloring, the exact tree algorithm,
-// the Corollary 3 pmax-approximation, or the first-fit fallback —
+// cheapest applicable method — the Theorem 2 TSP reduction (with its
+// greedy-path and Corollary 2 path-cover certificates), the Theorem 4 FPT
+// coloring, the exact tree algorithm, the Corollary 3
+// pmax-approximation, or the first-fit fallback —
 // decomposing disconnected inputs into independently solved components.
 // Result.Method / Result.Exact / Result.Approx record the route taken.
 func Solve(g *graph.Graph, p labeling.Vector, opts *Options) (*Result, error) {
@@ -370,8 +381,7 @@ func (r *Reduction) resultFromTour(tour tsp.Tour, algo tsp.Algorithm, stats tsp.
 
 // Lambda computes λ_p(G) exactly — through the reduction (Corollary 1:
 // O(2ⁿn²) via Held–Karp) when it applies, or any other exact planner
-// route (tree, diameter-2 DP, FPT coloring, component decomposition of
-// those). Unlike Solve, Lambda never degrades silently: when no exact
+// route (tree, FPT coloring, component decomposition of those). Unlike Solve, Lambda never degrades silently: when no exact
 // method reaches the instance it returns an error rather than an
 // approximate span.
 func Lambda(g *graph.Graph, p labeling.Vector) (int, error) {

@@ -169,3 +169,47 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		})
 	}
 }
+
+// TestDistMatrixGraph: the distance-layer graph has exactly the pairs at
+// the selected distances, sorted and deduplicated like a graph built by
+// AddEdge, on connected and disconnected inputs; on a diameter-2 graph the
+// distance-2 layer is the complement.
+func TestDistMatrixGraph(t *testing.T) {
+	r := rng.New(9)
+	gs := append(csrFamilies(t), New(5), matching(12), RandomDiameter2(r, 40, 0.3))
+	for gi, g := range gs {
+		dm := g.AllPairsDistances()
+		diam, _ := dm.Max()
+		for mask := 0; mask < 1<<min(diam+1, 4); mask++ {
+			at := make([]bool, min(diam+1, 4))
+			for d := range at {
+				at[d] = mask&(1<<d) != 0
+			}
+			h := dm.Graph(at)
+			want := New(g.N())
+			for u := 0; u < g.N(); u++ {
+				for v := u + 1; v < g.N(); v++ {
+					if d := int(dm.Dist(u, v)); d < len(at) && at[d] {
+						want.AddEdge(u, v)
+					}
+				}
+			}
+			if h.N() != want.N() || h.M() != want.M() {
+				t.Fatalf("graph %d, at %v: n=%d m=%d, want n=%d m=%d", gi, at, h.N(), h.M(), want.N(), want.M())
+			}
+			for u := 0; u < g.N(); u++ {
+				if got, exp := fmt.Sprint(h.Neighbors(u)), fmt.Sprint(want.Neighbors(u)); got != exp {
+					t.Fatalf("graph %d, at %v, vertex %d: neighbours %s, want %s", gi, at, u, got, exp)
+				}
+			}
+		}
+	}
+	g := RandomDiameter2(r, 60, 0.25)
+	if d, disc := g.AllPairsDistances().Max(); d != 2 || disc {
+		t.Fatalf("diameter %d (disconnected %v), want 2", d, disc)
+	}
+	h, c := g.AllPairsDistances().Graph([]bool{false, false, true}), g.Complement()
+	if fmt.Sprint(h.Edges()) != fmt.Sprint(c.Edges()) {
+		t.Fatal("the distance-2 layer of a diameter-2 graph differs from its complement")
+	}
+}

@@ -40,6 +40,66 @@ func (m *DistMatrix) Data() []uint16 { return m.d }
 // by the BFS that filled the matrix, so Max is O(1).
 func (m *DistMatrix) Max() (max int, disconnected bool) { return m.diam, m.disconnected }
 
+// Graph returns the graph on the matrix's vertices whose edges are the
+// pairs {u,v}, u ≠ v, at a distance d with at[d]; distances at or past
+// len(at), Unreachable among them, give no edge. Each row is scanned in
+// vertex order, once to count and once to fill, so the neighbour lists
+// come out sorted and the graph is born normalized with its CSR view:
+// O(n²) time and O(n + m) memory. Both scans are branch-free, since the
+// edges of a dense layer fall unpredictably.
+func (m *DistMatrix) Graph(at []bool) *Graph {
+	n := m.N
+	// keep[min(d, last)] is 1 for a selected distance d ≥ 1, else 0; the
+	// diagonal (d = 0) and everything past len(at) map to a 0 entry.
+	keep := make([]int32, len(at)+1)
+	for d := 1; d < len(at); d++ {
+		if at[d] {
+			keep[d] = 1
+		}
+	}
+	last := len(at)
+	off := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		deg := int32(0)
+		for _, d := range m.Row(u) {
+			deg += keep[min(int(d), last)]
+		}
+		off[u+1] = off[u] + deg
+	}
+	// One spare slot: the fill writes every v at the row's cursor and
+	// advances only past kept ones, so the last row writes one past its
+	// segment; earlier rows' strays land where the next row overwrites.
+	nbrs := make([]int32, off[n]+1)
+	for u := 0; u < n; u++ {
+		seg := nbrs[off[u] : off[u+1]+1]
+		k := 0
+		for v, d := range m.Row(u) {
+			seg[k] = int32(v)
+			k += int(keep[min(int(d), last)])
+		}
+	}
+	nbrs = nbrs[:off[n]:off[n]]
+	adj := make([][]int32, n)
+	for u := 0; u < n; u++ {
+		adj[u] = nbrs[off[u]:off[u+1]:off[u+1]]
+	}
+	g := &Graph{adj: adj, m: len(nbrs) / 2}
+	g.normalized.Store(true)
+	g.csrView.Store(&csr{offsets: off, nbrs: nbrs})
+	return g
+}
+
+// Power returns the graph of the pairs at distance 1…k, the k-th power
+// of the graph the matrix was computed from. No two of n vertices lie
+// more than n−1 apart, so k past that selects nothing more.
+func (m *DistMatrix) Power(k int) *Graph {
+	at := make([]bool, min(max(k, 0), m.N)+1)
+	for d := 1; d < len(at); d++ {
+		at[d] = true
+	}
+	return m.Graph(at)
+}
+
 // BFSFrom writes BFS distances from src into dist (length n, reused across
 // calls), using queue as scratch space (length ≥ n). It returns the number
 // of vertices reached (including src). Traversal runs on the CSR view

@@ -238,21 +238,10 @@ func (g *Graph) Power(k int) *Graph {
 	if k < 1 {
 		panic("graph: power k must be >= 1")
 	}
-	n := g.N()
-	h := New(n)
 	if k == 1 {
 		return g.Clone()
 	}
-	dm := g.AllPairsDistances()
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if d := dm.Dist(u, v); d != Unreachable && int(d) <= k {
-				h.AddEdge(u, v)
-			}
-		}
-	}
-	h.Normalize()
-	return h
+	return g.AllPairsDistances().Power(k)
 }
 
 // String returns a short human-readable description.

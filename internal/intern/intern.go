@@ -131,15 +131,16 @@ func (s *Store) shard(ref string) *shard {
 	return s.shards[fnvKey(ref)&s.mask]
 }
 
-// Put interns g and returns its ref. The graph is normalized and its
-// CSR view and fingerprint are forced here, before publication, so
-// readers obtained via Get never race a lazy build. Put is idempotent:
-// re-interning an equal graph returns the same ref, refreshes its LRU
-// position, and keeps the first stored copy.
-func (s *Store) Put(g *graph.Graph) string {
+// Put interns g and returns its ref, and whether an equal graph was
+// already interned, decided under the ref's shard lock. The graph is
+// normalized and its CSR view and fingerprint are forced here, before
+// publication, so readers obtained via Get never race a lazy build. Put
+// is idempotent: re-interning an equal graph returns the same ref,
+// refreshes its LRU position, and keeps the first stored copy.
+func (s *Store) Put(g *graph.Graph) (ref string, reinterned bool) {
 	g.Normalize()
 	_ = g.MaxDegree() // force the lazy CSR view pre-publication
-	ref := Ref(g)     // forces the fingerprint memo
+	ref = Ref(g)      // forces the fingerprint memo
 	sh := s.shard(ref)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -147,10 +148,10 @@ func (s *Store) Put(g *graph.Graph) string {
 	if el, ok := sh.entries[ref]; ok {
 		sh.dups++
 		sh.ll.MoveToFront(el)
-		return ref
+		return ref, true
 	}
 	if sh.cap <= 0 {
-		return ref
+		return ref, false
 	}
 	sh.entries[ref] = sh.ll.PushFront(&entry{ref: ref, g: g})
 	for sh.ll.Len() > sh.cap {
@@ -159,7 +160,7 @@ func (s *Store) Put(g *graph.Graph) string {
 		delete(sh.entries, back.Value.(*entry).ref)
 		sh.evictions++
 	}
-	return ref
+	return ref, false
 }
 
 // Get returns the interned graph for ref, or (nil, false) if it was

@@ -12,9 +12,12 @@ import (
 func TestPutGetRoundTrip(t *testing.T) {
 	s := NewStore(8)
 	g := graph.Cycle(5)
-	ref := s.Put(g)
+	ref, reinterned := s.Put(g)
 	if !ValidRef(ref) {
 		t.Fatalf("Put returned malformed ref %q", ref)
+	}
+	if reinterned {
+		t.Fatal("a fresh graph reported as re-interned")
 	}
 	got, ok := s.Get(ref)
 	if !ok {
@@ -30,10 +33,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestPutIdempotent(t *testing.T) {
 	s := NewStore(8)
-	ref1 := s.Put(graph.Cycle(6))
-	ref2 := s.Put(graph.Cycle(6)) // equal graph, distinct object
+	ref1, re1 := s.Put(graph.Cycle(6))
+	ref2, re2 := s.Put(graph.Cycle(6)) // equal graph, distinct object
 	if ref1 != ref2 {
 		t.Fatalf("equal graphs got different refs: %s vs %s", ref1, ref2)
+	}
+	if re1 || !re2 {
+		t.Fatalf("reinterned %v then %v, want false then true", re1, re2)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("re-intern grew the store to %d entries", s.Len())
@@ -67,7 +73,7 @@ func TestEvictionLRU(t *testing.T) {
 	r := rng.New(1)
 	refs := make([]string, 5)
 	for i := range refs {
-		refs[i] = s.Put(graph.RandomSmallDiameter(r, 10+i, 3, 0.2))
+		refs[i], _ = s.Put(graph.RandomSmallDiameter(r, 10+i, 3, 0.2))
 	}
 	if s.Len() != 3 {
 		t.Fatalf("len=%d, want capacity 3", s.Len())
@@ -96,9 +102,12 @@ func TestEvictionLRU(t *testing.T) {
 
 func TestZeroCapacityStoresNothing(t *testing.T) {
 	s := NewStore(0)
-	ref := s.Put(graph.Cycle(4))
+	ref, _ := s.Put(graph.Cycle(4))
 	if !ValidRef(ref) {
 		t.Fatal("disabled store must still return valid refs")
+	}
+	if _, reinterned := s.Put(graph.Cycle(4)); reinterned {
+		t.Fatal("a disabled store reported an equal graph as re-interned")
 	}
 	if _, ok := s.Get(ref); ok {
 		t.Fatal("disabled store retained a graph")
@@ -149,7 +158,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	var wg sync.WaitGroup
 	refs := make([]string, 16)
 	for i := range refs {
-		refs[i] = s.Put(graph.RandomSmallDiameter(rng.New(uint64(i+1)), 20+i, 3, 0.2))
+		refs[i], _ = s.Put(graph.RandomSmallDiameter(rng.New(uint64(i+1)), 20+i, 3, 0.2))
 	}
 	for w := 0; w < 8; w++ {
 		w := w
@@ -197,7 +206,7 @@ func TestStoreConcurrentSameGraph(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = s.Put(graph.Complete(7))
+			out[i], _ = s.Put(graph.Complete(7))
 		}()
 	}
 	wg.Wait()
@@ -213,7 +222,7 @@ func TestStoreConcurrentSameGraph(t *testing.T) {
 
 func TestStatsSnapshotConsistent(t *testing.T) {
 	s := NewStore(4)
-	ref := s.Put(graph.Path(3))
+	ref, _ := s.Put(graph.Path(3))
 	s.Get(ref)
 	s.Get("ffffffffffffffffffffffffffffffff")
 	st := s.Stats()
@@ -244,7 +253,7 @@ func BenchmarkStoreGet(b *testing.B) {
 	refs := make([]string, 64)
 	r := rng.New(9)
 	for i := range refs {
-		refs[i] = s.Put(graph.RandomSmallDiameter(r, 64, 3, 0.1))
+		refs[i], _ = s.Put(graph.RandomSmallDiameter(r, 64, 3, 0.1))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -257,7 +266,7 @@ func BenchmarkStoreGet(b *testing.B) {
 
 func ExampleStore() {
 	s := NewStore(16)
-	ref := s.Put(graph.Cycle(4))
+	ref, _ := s.Put(graph.Cycle(4))
 	g, ok := s.Get(ref)
 	fmt.Println(ok, g.N(), g.M())
 	// Output: true 4 4

@@ -131,8 +131,8 @@ type MDNode struct {
 // Decompose computes the modular decomposition tree of g. The
 // implementation is the straightforward O(n³·m)-ish recursive algorithm
 // (components / co-components / prime children via pair-closure), which is
-// exact; the linear-time algorithm of Tedder et al. the paper cites is a
-// performance substitution only (see DESIGN.md §4).
+// exact; it stands in for the linear-time algorithm of Tedder et al. that
+// the paper cites, which would change only the running time.
 func Decompose(g *graph.Graph) *MDNode {
 	vs := make([]int, g.N())
 	for i := range vs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lpltsp/internal/graph"
-	"lpltsp/internal/modular"
 )
 
 // Constructive counterpart of CographCount: build an actual minimum path
@@ -23,47 +22,127 @@ import (
 // their side's internal edges. The tests verify both validity (Verify)
 // and minimality (length == CographCount == the 2ⁿ DP on small n).
 
-// CographPaths returns a minimum path cover of the cograph g. It errors
-// on non-cographs.
+// CographPaths returns a minimum path cover of the cograph g. It splits
+// V into the components of g or, when g is connected, of its complement
+// (the parallel and series nodes of the cotree), recursively, and errors
+// at the first vertex set that neither splits — a prime node, so g is no
+// cograph. Each split costs O(|S| + Σ_{v∈S} deg(v)) for its vertex set S
+// (the complement's components come from a BFS over the unvisited set,
+// never from the complement itself), so rejecting a graph costs only the
+// splits above its first prime node: O(n + m) when g and its complement
+// are both connected.
 func CographPaths(g *graph.Graph) ([][]int, error) {
-	if g.N() == 0 {
+	n := g.N()
+	if n == 0 {
 		return nil, nil
 	}
-	return cographPathsNode(modular.Decompose(g))
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = i
+	}
+	sp := &splitter{g: g, in: make([]int32, n), seen: make([]int32, n)}
+	return sp.cover(vs)
 }
 
-func cographPathsNode(nd *modular.MDNode) ([][]int, error) {
-	switch nd.Kind {
-	case modular.Leaf:
-		return [][]int{{nd.Vertices[0]}}, nil
-	case modular.Parallel:
+// splitter carries the stamp arrays of CographPaths' recursive splits:
+// in[v] == epoch marks the vertex set being split, seen[v] == tick a
+// vertex visited (or, in the complement BFS, adjacent to the vertex being
+// expanded).
+type splitter struct {
+	g           *graph.Graph
+	in, seen    []int32
+	epoch, tick int32
+}
+
+func (sp *splitter) cover(vs []int) ([][]int, error) {
+	if len(vs) == 1 {
+		return [][]int{{vs[0]}}, nil
+	}
+	if parts := sp.components(vs); len(parts) > 1 {
 		var all [][]int
-		for _, c := range nd.Children {
-			ps, err := cographPathsNode(c)
+		for _, part := range parts {
+			ps, err := sp.cover(part)
 			if err != nil {
 				return nil, err
 			}
 			all = append(all, ps...)
 		}
 		return all, nil
-	case modular.Series:
-		var acc [][]int
-		for i, c := range nd.Children {
-			ps, err := cographPathsNode(c)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				acc = ps
-				continue
-			}
-			acc = joinPaths(acc, ps)
-		}
-		return acc, nil
-	default:
-		return nil, fmt.Errorf("pathpart: not a cograph (prime node over %d vertices)",
-			len(nd.Vertices))
 	}
+	parts := sp.coComponents(vs)
+	if len(parts) == 1 {
+		return nil, fmt.Errorf("pathpart: not a cograph (prime node over %d vertices)", len(vs))
+	}
+	var acc [][]int
+	for i, part := range parts {
+		ps, err := sp.cover(part)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			acc = ps
+			continue
+		}
+		acc = joinPaths(acc, ps)
+	}
+	return acc, nil
+}
+
+// components returns the vertex sets of the components of g[vs].
+func (sp *splitter) components(vs []int) [][]int {
+	sp.epoch++
+	sp.tick++
+	for _, v := range vs {
+		sp.in[v] = sp.epoch
+	}
+	var parts [][]int
+	for _, s := range vs {
+		if sp.seen[s] == sp.tick {
+			continue
+		}
+		sp.seen[s] = sp.tick
+		part := []int{s}
+		for h := 0; h < len(part); h++ {
+			for _, w := range sp.g.Neighbors(part[h]) {
+				if sp.in[w] == sp.epoch && sp.seen[w] != sp.tick {
+					sp.seen[w] = sp.tick
+					part = append(part, int(w))
+				}
+			}
+		}
+		parts = append(parts, part)
+	}
+	return parts
+}
+
+// coComponents returns the vertex sets of the components of the
+// complement of g[vs]: a BFS whose frontier takes every unvisited vertex
+// not adjacent to the vertex being expanded. A vertex kept unvisited is
+// charged to an edge, one taken to itself.
+func (sp *splitter) coComponents(vs []int) [][]int {
+	rest := append([]int(nil), vs...)
+	var parts [][]int
+	for len(rest) > 0 {
+		part := []int{rest[len(rest)-1]}
+		rest = rest[:len(rest)-1]
+		for h := 0; h < len(part) && len(rest) > 0; h++ {
+			sp.tick++
+			for _, w := range sp.g.Neighbors(part[h]) {
+				sp.seen[w] = sp.tick
+			}
+			keep := rest[:0]
+			for _, w := range rest {
+				if sp.seen[w] == sp.tick {
+					keep = append(keep, w)
+				} else {
+					part = append(part, w)
+				}
+			}
+			rest = keep
+		}
+		parts = append(parts, part)
+	}
+	return parts
 }
 
 // joinPaths merges path covers of A and B into a minimum path cover of

@@ -31,11 +31,11 @@ func TestCographPathsValidAndMinimum(t *testing.T) {
 				trial, n, len(paths), count)
 		}
 		if n <= ExactMaxN {
-			want, err := Count(g)
+			exact, err := Exact(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(paths) != want {
+			if want := len(exact); len(paths) != want {
 				t.Fatalf("trial %d: constructed %d, DP %d", trial, len(paths), want)
 			}
 		}
@@ -94,5 +94,26 @@ func TestCographPathsClassics(t *testing.T) {
 func TestCographPathsRejectsNonCograph(t *testing.T) {
 	if _, err := CographPaths(graph.Path(4)); err == nil {
 		t.Fatal("P4 must be rejected")
+	}
+	// A prime node deep in the cotree: P4 joined to a triangle, in
+	// parallel with a cograph.
+	g := graph.New(12)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {4, 6}, {7, 8}, {8, 9}, {7, 9}, {10, 11}} {
+		g.AddEdge(e[0], e[1])
+	}
+	for u := 0; u < 4; u++ {
+		for v := 4; v < 7; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	if _, err := CographPaths(g); err == nil {
+		t.Fatal("a P4 under a join must be rejected")
+	}
+	// Rejection stops at the first prime node, so a large random graph,
+	// connected with a connected complement, costs two linear splits
+	// rather than a full modular decomposition.
+	big := graph.GNP(rng.New(3), 2000, 0.5)
+	if _, err := CographPaths(big); err == nil {
+		t.Fatal("G(2000, 1/2) must be rejected")
 	}
 }

@@ -2,12 +2,17 @@
 // a graph into a minimum number of vertex-disjoint simple paths (isolated
 // vertices count as length-0 paths).
 //
-// The paper's Corollary 2 shows that L(p,q)-LABELING on diameter-2 graphs
-// is equivalent to this problem (on G when p ≤ q, on the complement when
-// p > q): λ = (n−1)p + (q−p)·(s−1) where s is the minimum number of paths.
-// The cited FPT algorithm for modular-width (Gajarský et al.) is replaced
-// by an exact Held–Karp-style subset DP plus a greedy heuristic for large
-// n (see DESIGN.md §4).
+// The paper's Corollary 2 ties L(p)-LABELING to this problem whenever p
+// takes two values a < b at the distances the graph has: a Hamiltonian
+// path of the reduced instance with j heavy edges splits into j+1 paths
+// of H_a, the graph of the weight-a pairs, so λ = (n−1)·a + (b−a)·(s−1)
+// where s is the minimum number of paths covering H_a (on a diameter-2
+// graph H_a is G when p ≤ q and its complement when p > q). The
+// reduction's two-weight branch in internal/core covers H_a with Greedy,
+// with the subset DP (Exact) for n ≤ ExactMaxN, and with the cotree
+// construction (CographPaths) when H_a is a cograph. The subset DP stands
+// in for the FPT algorithm in modular-width (Gajarský et al.) that the
+// paper cites.
 package pathpart
 
 import (
@@ -125,15 +130,6 @@ func reversed(s []int) []int {
 		out[len(s)-1-i] = x
 	}
 	return out
-}
-
-// Count returns just the minimum number of paths.
-func Count(g *graph.Graph) (int, error) {
-	paths, err := Exact(g)
-	if err != nil {
-		return 0, err
-	}
-	return len(paths), nil
 }
 
 // Greedy returns a (not necessarily minimum) partition into paths: grow a

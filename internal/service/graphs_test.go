@@ -95,6 +95,44 @@ func TestGraphsInternAllTransports(t *testing.T) {
 	}
 }
 
+// TestGraphsReinternedIsPerRequest: the reinterned flag describes this
+// request's graph alone. While another client re-interns one graph in a
+// loop, every fresh graph still reads reinterned: false.
+func TestGraphsReinternedIsPerRequest(t *testing.T) {
+	ts := newTestServer(t, nil)
+	hot, err := json.Marshal(graph.Cycle(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	internGraph(t, ts.URL, graph.Cycle(9))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", bytes.NewReader(hot)); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 200; i++ {
+		if gr := internGraph(t, ts.URL, graph.Path(3+i)); gr.Reinterned {
+			t.Fatalf("fresh graph %d (P%d) reported reinterned", i, 3+i)
+		}
+	}
+}
+
 func TestGraphsBadBodies(t *testing.T) {
 	ts := newTestServer(t, &Config{MaxVertices: 16})
 	cases := []struct {

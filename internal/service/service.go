@@ -561,9 +561,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			"graph has %d vertices, server limit is %d", g.N(), s.cfg.MaxVertices)
 		return
 	}
-	before := s.graphs.Stats().Reinterned
-	ref := s.graphs.Put(g)
-	reinterned := s.graphs.Stats().Reinterned > before
+	ref, reinterned := s.graphs.Put(g)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(GraphsResponse{GraphRef: ref, N: g.N(), M: g.M(), Reinterned: reinterned})
 }

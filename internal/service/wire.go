@@ -46,8 +46,8 @@ type SolveRequest struct {
 
 // WireOptions is the JSON form of core.Options.
 type WireOptions struct {
-	// Method pins a planner method (reduction|tree|diameter2|
-	// fpt-coloring|pmax-approx|greedy). Empty plans automatically.
+	// Method pins a planner method (reduction|tree|fpt-coloring|
+	// pmax-approx|greedy). Empty plans automatically.
 	Method string `json:"method,omitempty"`
 	// Algorithm pins a TSP engine (exact|heldkarp|bnb|christofides|
 	// chained|2opt|3opt|nn|greedy|portfolio).
@@ -166,7 +166,8 @@ type SolveResponse struct {
 	Span     int    `json:"span"`
 	Labeling []int  `json:"labeling,omitempty"`
 	// Method is the planner route that produced the result; Algorithm and
-	// Winner name the TSP engine when the route was the reduction.
+	// Winner name the TSP engine when the route was the reduction, or the
+	// certificate that answered it without one (greedy, pathcover).
 	Method    string  `json:"method,omitempty"`
 	Algorithm string  `json:"algorithm,omitempty"`
 	Winner    string  `json:"winner,omitempty"`

@@ -11,7 +11,7 @@ import (
 // ChristofidesPathGreedyMatching is the ablation variant of
 // ChristofidesPath that replaces the exact blossom matcher with the greedy
 // perfect matcher. It quantifies how much of the 1.5 guarantee the exact
-// matching buys (DESIGN.md ablation A2): with greedy matching the
+// matching buys (ablation A2 in internal/bench): with greedy matching the
 // pipeline degrades toward a 2-approximation.
 func ChristofidesPathGreedyMatching(ins *Instance) (Tour, int64, error) {
 	n := ins.n

@@ -175,6 +175,9 @@ const (
 	// AlgoPortfolio races a roster of engines concurrently and keeps the
 	// best verified labeling (see Portfolio).
 	AlgoPortfolio = core.AlgoPortfolio
+	// AlgoPathCover is the provenance of a reduction solve answered by
+	// an exact path cover on a two-weight instance; it cannot be pinned.
+	AlgoPathCover = core.AlgoPathCover
 )
 
 // Algorithms lists all registered engine names (AlgoPortfolio is a
@@ -206,12 +209,11 @@ type Method = core.MethodName
 
 // Methods of the planner's registry, accepted in Options.Method.
 const (
-	// MethodReduction is the Theorem 2 TSP reduction.
+	// MethodReduction is the Theorem 2 TSP reduction, which answers
+	// two-weight instances (Corollary 2) by a path cover where it can.
 	MethodReduction = core.MethodReduction
 	// MethodTree is the exact L(2,1) tree algorithm.
 	MethodTree = core.MethodTree
-	// MethodDiameter2 is the Corollary 2 PARTITION INTO PATHS route.
-	MethodDiameter2 = core.MethodDiameter2
 	// MethodFPTColoring is the Theorem 4 coloring of Gᵏ for uniform p.
 	MethodFPTColoring = core.MethodFPTColoring
 	// MethodPmaxApprox is the Corollary 3 pmax-approximation fallback.
@@ -392,8 +394,10 @@ func TreeLambda21(g *Graph) (Labeling, int, error) { return labeling.TreeLambda2
 type Diameter2Result = core.Diameter2Result
 
 // SolveDiameter2 solves L(p,q)-LABELING on a diameter-≤2 graph via the
-// PARTITION INTO PATHS equivalence (Corollary 2). Exact for
-// n ≤ 22, heuristic beyond.
+// PARTITION INTO PATHS equivalence (Corollary 2). The span is exact when
+// the greedy path cover meets the matching bound on the path count, for
+// n ≤ 22 (subset DP), and when the partitioned graph is a cograph
+// (cotree); otherwise it is the greedy cover's upper bound.
 func SolveDiameter2(g *Graph, p, q int) (*Diameter2Result, error) {
 	return core.SolveDiameter2(g, p, q)
 }
