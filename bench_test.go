@@ -281,7 +281,9 @@ func BenchmarkE7Cograph(b *testing.B) {
 
 // BenchmarkA4TreeAlgorithm measures the Chang–Kuo-style exact tree solver
 // on random recursive trees and on a spider: a hub of degree 64 with legs
-// of two vertices, n = 129.
+// of two vertices, n = 129. The solve/ cases time the whole verified
+// p = (2,1) solve of a random tree, probe and verification included: the
+// tree route's layer number.
 func BenchmarkA4TreeAlgorithm(b *testing.B) {
 	spider := graph.New(1 + 2*64)
 	for leg := 0; leg < 64; leg++ {
@@ -304,6 +306,21 @@ func BenchmarkA4TreeAlgorithm(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := labeling.TreeLambda21(tc.g); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, n := range []int{128, 384, 1000} {
+		g := graph.RandomTree(rng.New(18), n)
+		b.Run(fmt.Sprintf("solve/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := lpltsp.Solve(g, lpltsp.L21(), &lpltsp.Options{Verify: true, NoCache: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Method != lpltsp.MethodTree || !res.Exact {
+					b.Fatalf("method %s exact %v, want an exact tree answer", res.Method, res.Exact)
 				}
 			}
 		})

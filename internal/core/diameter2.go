@@ -93,10 +93,10 @@ func SolveDiameter2(g *graph.Graph, p, q int) (*Diameter2Result, error) {
 
 // LambdaCograph computes λ_{p,q}(G) exactly for a connected cograph of
 // any size (connected cographs have diameter ≤ 2, so Corollary 2
-// applies), using the cotree path-cover recurrence instead of the 2ⁿ DP.
-// Only the value is returned — constructing a witness labeling at this
-// scale would need the constructive merge, which SolveDiameter2 provides
-// for n ≤ pathpart.ExactMaxN.
+// applies), counting the cotree's minimum path cover
+// (pathpart.CographCount) instead of running the 2ⁿ DP. A graph that is
+// no cograph is rejected at its first prime node, after the splits above
+// it. Only the value is returned; SolveDiameter2 returns a labeling.
 func LambdaCograph(g *graph.Graph, p, q int) (int, error) {
 	if p < 0 || q < 0 {
 		return 0, fmt.Errorf("core: negative p or q")

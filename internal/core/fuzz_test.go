@@ -21,6 +21,11 @@ func FuzzSolveVerify(f *testing.F) {
 	f.Add(uint8(10), uint64(^uint64(0)), uint8(2), uint8(2), uint8(1))  // clique, uniform
 	f.Add(uint8(12), uint64(0x5555_5555), uint8(4), uint8(1), uint8(1)) // pmax > 2·pmin
 	f.Add(uint8(8), uint64(0x0f0f), uint8(0), uint8(3), uint8(1))       // pmin = 0
+	// Trees (m = n − 1), probed by two BFS runs with no matrix up front.
+	f.Add(uint8(10), uint64(0x50040060201803), uint8(2), uint8(1), uint8(1)) // 11-vertex tree
+	f.Add(uint8(10), uint64(0x50040060201803), uint8(1), uint8(1), uint8(2)) // same tree, uniform
+	f.Add(uint8(9), uint64(0x1ff), uint8(2), uint8(1), uint8(2))             // star K1,9
+	f.Add(uint8(6), uint64(0x148841), uint8(3), uint8(1), uint8(1))          // path P7
 	f.Fuzz(func(t *testing.T, n uint8, edges uint64, p1, p2, k uint8) {
 		nv := int(n%14) + 1 // up to 14 vertices: exercises engines past toy sizes
 		g := graph.New(nv)
@@ -85,6 +90,14 @@ func FuzzPlan(f *testing.F) {
 	f.Add(uint8(8), uint64(0), uint8(5), uint8(1), uint8(2))          // empty graph, pmax > 2·pmin
 	f.Add(uint8(7), uint64(^uint64(0)), uint8(1), uint8(1), uint8(3)) // K7, uniform p
 	f.Add(uint8(5), uint64(0b10011), uint8(3), uint8(3), uint8(0))
+	// Trees (m = n − 1), probed by two BFS runs with no matrix up front.
+	f.Add(uint8(5), uint64(0x5221), uint8(2), uint8(1), uint8(1))      // path P6
+	f.Add(uint8(5), uint64(0x1f), uint8(2), uint8(2), uint8(2))        // star K1,5
+	f.Add(uint8(8), uint64(0xa04200125), uint8(3), uint8(1), uint8(1)) // spider, legs 2, 3, 3
+	f.Add(uint8(7), uint64(0x3048d), uint8(1), uint8(1), uint8(1))     // caterpillar
+	f.Add(uint8(1), uint64(0x1), uint8(2), uint8(1), uint8(2))         // one edge
+	f.Add(uint8(2), uint64(0x6), uint8(1), uint8(2), uint8(1))         // P3 centred on 2
+	f.Add(uint8(0), uint64(0), uint8(2), uint8(1), uint8(1))           // one vertex
 	f.Fuzz(func(t *testing.T, n uint8, edges uint64, p1, p2, k uint8) {
 		nv := int(n%9) + 1 // 1..9 vertices: brute force stays feasible
 		g := graph.New(nv)

@@ -364,7 +364,10 @@ func (fptColoringMethod) Check(pr *Probe, p labeling.Vector, _ *Options) Applica
 	if pr.N > ndProbeMaxN {
 		return Applicability{Reason: fmt.Sprintf("n=%d exceeds the nd-probe budget %d", pr.N, ndProbeMaxN)}
 	}
-	ell := pr.NDOfPower(p.K())
+	ell, err := pr.NDOfPower(p.K())
+	if err != nil {
+		return Applicability{Reason: err.Error(), Err: err}
+	}
 	if ell > coloring.NDMaxClasses {
 		return Applicability{Reason: fmt.Sprintf("nd(Gᵏ)=%d exceeds the FPT budget %d", ell, coloring.NDMaxClasses)}
 	}
@@ -381,7 +384,11 @@ func (fptColoringMethod) Solve(_ context.Context, pr *Probe, p labeling.Vector, 
 	if !ok {
 		return nil, fmt.Errorf("core: method %s needs uniform p, got %v", MethodFPTColoring, p)
 	}
-	col, chi, err := coloring.NDExact(pr.PowerGraph(p.K()))
+	h, err := pr.PowerGraph(p.K())
+	if err != nil {
+		return nil, err
+	}
+	col, chi, err := coloring.NDExact(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: method %s: %w", MethodFPTColoring, err)
 	}
@@ -425,7 +432,10 @@ func (pmaxApproxMethod) Check(pr *Probe, p labeling.Vector, opts *Options) Appli
 	if pr.N > ndProbeMaxN {
 		return Applicability{Reason: fmt.Sprintf("n=%d exceeds the nd-probe budget %d", pr.N, ndProbeMaxN)}
 	}
-	ell := pr.NDOfPower(p.K())
+	ell, err := pr.NDOfPower(p.K())
+	if err != nil {
+		return Applicability{Reason: err.Error(), Err: err}
+	}
 	if ell > coloring.NDMaxClasses {
 		return Applicability{Reason: fmt.Sprintf("nd(Gᵏ)=%d exceeds the FPT budget %d", ell, coloring.NDMaxClasses)}
 	}
@@ -445,7 +455,11 @@ func (pmaxApproxMethod) Check(pr *Probe, p labeling.Vector, opts *Options) Appli
 
 func (pmaxApproxMethod) Solve(_ context.Context, pr *Probe, p labeling.Vector, _ *Options) (*Result, error) {
 	_, pmax := p.MinMax()
-	col, chi, err := coloring.NDExact(pr.PowerGraph(p.K()))
+	h, err := pr.PowerGraph(p.K())
+	if err != nil {
+		return nil, err
+	}
+	col, chi, err := coloring.NDExact(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: method %s: %w", MethodPmaxApprox, err)
 	}
@@ -487,7 +501,11 @@ func (greedyMethod) Check(pr *Probe, p labeling.Vector, _ *Options) Applicabilit
 }
 
 func (greedyMethod) Solve(_ context.Context, pr *Probe, p labeling.Vector, _ *Options) (*Result, error) {
-	lab, span, err := labeling.GreedyFirstFitMatrix(pr.G, pr.Dist, p, labeling.OrderDegree)
+	dm, err := pr.Dist()
+	if err != nil {
+		return nil, err
+	}
+	lab, span, err := labeling.GreedyFirstFitMatrix(pr.G, dm, p, labeling.OrderDegree)
 	if err != nil {
 		return nil, fmt.Errorf("core: method %s: %w", MethodGreedy, err)
 	}

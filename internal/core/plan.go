@@ -11,15 +11,15 @@ import (
 )
 
 // Probe is the per-instance inspection record the planner routes on: the
-// graph's size, connectivity, diameter, and distance matrix, plus lazily
-// memoized derived structure (graph powers, neighborhood diversity of
-// powers) that only some applicability checks need. The distance matrix is
-// the same one the reduction and verification reuse, so probing costs one
-// APSP — work the solve needed anyway — and the diameter and connectivity
-// come with it.
+// graph's size, connectivity and diameter, plus lazily built structure
+// that only some routes read: the distance matrix, graph powers, and the
+// neighborhood diversity of powers. A tree is probed with two BFS runs
+// and no matrix, so the tree route and its verification never allocate
+// one; every other graph is probed with one APSP, whose matrix the
+// reduction and verification then reuse.
 //
 // A Probe is built and consumed by one solve; it is not safe for
-// concurrent use (the memo maps are unsynchronized).
+// concurrent use (the memo fields are unsynchronized).
 type Probe struct {
 	G         *graph.Graph
 	N, M      int
@@ -27,64 +27,99 @@ type Probe struct {
 	// Diameter is the largest finite distance (the diameter when
 	// Connected; the largest intra-component distance otherwise).
 	Diameter int
-	Dist     *graph.DistMatrix
 
-	pow   map[int]*graph.Graph
-	ndPow map[int]int
+	// ctx is the solve's context, under which Dist builds a matrix the
+	// probe did not (Method.Check, which may ask for one, takes no
+	// context); dist and distErr memoize the outcome.
+	ctx     context.Context
+	dist    *graph.DistMatrix
+	distErr error
+	pow     map[int]*graph.Graph
+	ndPow   map[int]int
 }
 
-// newProbe inspects g with one APSP: bit-parallel sweeps over batches of
-// 64 sources, O(D·(n+m)) word operations per batch on a graph of diameter
-// D, or scalar BFS at O(n+m) per source when the first batch shows the
-// sources share too little (graph.AllPairsDistancesContext's sharing
-// rule). The sweep records the diameter and connectivity, so no scan of
-// the matrix follows. The returned probe owns nothing mutable in g; the
-// distance matrix is shared read-only downstream exactly as in
-// ReduceContext's memory model.
+// newProbe inspects g. A graph with m = n − 1 edges is a tree exactly
+// when one BFS from vertex 0 reaches every vertex; a second BFS from the
+// last vertex the first dequeued then gives the diameter (the double
+// sweep is exact on trees), O(n) in all, and no matrix is built until a
+// route asks Dist for one. Every other graph gets one APSP: bit-parallel
+// sweeps over batches of 64 sources, O(D·(n+m)) word operations per batch
+// on a graph of diameter D, or scalar BFS at O(n+m) per source when the
+// first batch shows the sources share too little
+// (graph.AllPairsDistancesContext's sharing rule). The sweep records the
+// diameter and connectivity, so no scan of the matrix follows. The
+// returned probe owns nothing mutable in g; the distance matrix is shared
+// read-only downstream exactly as in ReduceContext's memory model.
 func newProbe(ctx context.Context, g *graph.Graph) (*Probe, error) {
-	dm, err := g.AllPairsDistancesContext(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pr := &Probe{G: g, N: g.N(), M: g.M(), ctx: ctx}
+	if pr.N > 0 && pr.M == pr.N-1 {
+		if _, far, reached := g.Eccentricity(0); reached == pr.N {
+			pr.Diameter, _, _ = g.Eccentricity(far)
+			pr.Connected = true
+			return pr, nil
+		}
+	}
+	dm, err := pr.Dist()
 	if err != nil {
 		return nil, err
 	}
 	diam, disconnected := dm.Max()
-	return &Probe{
-		G:         g,
-		N:         g.N(),
-		M:         g.M(),
-		Connected: !disconnected,
-		Diameter:  diam,
-		Dist:      dm,
-	}, nil
+	pr.Connected, pr.Diameter = !disconnected, diam
+	return pr, nil
+}
+
+// Dist returns the graph's distance matrix, running the APSP under the
+// solve's context on the first call for a probe that built none. A
+// canceled context yields its error, here and on every later call, and no
+// matrix.
+func (pr *Probe) Dist() (*graph.DistMatrix, error) {
+	if pr.dist == nil && pr.distErr == nil {
+		pr.dist, pr.distErr = pr.G.AllPairsDistancesContext(pr.ctx)
+	}
+	return pr.dist, pr.distErr
 }
 
 // PowerGraph returns Gᵏ, built from the probe's distance matrix (vertices
-// at distance ≤ k become adjacent) and memoized per k.
-func (pr *Probe) PowerGraph(k int) *graph.Graph {
+// at distance ≤ k become adjacent) and memoized per k. It fails only with
+// Dist's context error.
+func (pr *Probe) PowerGraph(k int) (*graph.Graph, error) {
 	if k <= 1 {
-		return pr.G
+		return pr.G, nil
+	}
+	if h, ok := pr.pow[k]; ok {
+		return h, nil
+	}
+	dm, err := pr.Dist()
+	if err != nil {
+		return nil, err
 	}
 	if pr.pow == nil {
 		pr.pow = map[int]*graph.Graph{}
 	}
-	if h, ok := pr.pow[k]; ok {
-		return h
-	}
-	h := pr.Dist.Power(k)
+	h := dm.Power(k)
 	pr.pow[k] = h
-	return h
+	return h, nil
 }
 
-// NDOfPower returns nd(Gᵏ), memoized per k.
-func (pr *Probe) NDOfPower(k int) int {
+// NDOfPower returns nd(Gᵏ), memoized per k. It fails only with Dist's
+// context error.
+func (pr *Probe) NDOfPower(k int) (int, error) {
+	if ell, ok := pr.ndPow[k]; ok {
+		return ell, nil
+	}
+	h, err := pr.PowerGraph(k)
+	if err != nil {
+		return 0, err
+	}
 	if pr.ndPow == nil {
 		pr.ndPow = map[int]int{}
 	}
-	if ell, ok := pr.ndPow[k]; ok {
-		return ell
-	}
-	ell, _ := modular.ND(pr.PowerGraph(k))
+	ell, _ := modular.ND(h)
 	pr.ndPow[k] = ell
-	return ell
+	return ell, nil
 }
 
 // Candidate records one method's applicability verdict inside a Plan.
@@ -239,6 +274,11 @@ func planSingle(pr *Probe, p labeling.Vector, opts *Options, budget time.Duratio
 		if a.OK {
 			apps = append(apps, applicable{m: m, a: a, ci: len(pl.Candidates) - 1, fit: true})
 		}
+	}
+	if pr.distErr != nil {
+		// A check's lazily built matrix met a canceled context: that is
+		// the solve's error, not a reason to route elsewhere.
+		return nil, nil, pr.distErr
 	}
 
 	if pl.AlgorithmPinned {

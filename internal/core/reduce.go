@@ -1,16 +1,17 @@
 // Package core implements the paper's algorithm suite behind a planned
 // solver pipeline. A solve flows plan → method → engine: the instance is
-// probed once (connectivity and diameter from one APSP, p-vector
-// shape), the method planner routes it to the cheapest applicable
-// algorithm in the method registry — the Theorem 2 TSP reduction, the
-// Theorem 4 FPT coloring for uniform p, the exact L(2,1) tree algorithm,
-// the Corollary 3 pmax-approximation, or the first-fit fallback — and
-// disconnected inputs are decomposed into components solved
-// independently (λ = max over components). The reduction answers first
-// from a certificate when it can: a greedy-edge path that meets
-// Reduction.LowerBound, or, when p takes two values at the graph's
-// distances, an exact path cover of the lighter weight's graph
-// (Corollary 2's PARTITION INTO PATHS, for any k; provenance
+// probed once (p-vector shape, and connectivity and diameter: from two BFS
+// runs on a tree, which gets a distance matrix only when a route reads
+// one, and from one APSP otherwise), the method planner routes it to the
+// cheapest applicable algorithm in the method registry — the Theorem 2
+// TSP reduction, the Theorem 4 FPT coloring for uniform p, the exact
+// L(2,1) tree algorithm, the Corollary 3 pmax-approximation, or the
+// first-fit fallback — and disconnected inputs are decomposed into
+// components solved independently (λ = max over components). The
+// reduction answers first from a certificate when it can: a greedy-edge
+// path that meets Reduction.LowerBound, or, when p takes two values at
+// the graph's distances, an exact path cover of the lighter weight's
+// graph (Corollary 2's PARTITION INTO PATHS, for any k; provenance
 // AlgoPathCover). Otherwise it dispatches into the engine registry of
 // internal/tsp, including the portfolio race. Every input therefore gets
 // a labeling; the typed precondition errors below are returned only by
@@ -157,18 +158,21 @@ func reduceFrom(g *graph.Graph, p labeling.Vector, dm *graph.DistMatrix, diam in
 		return nil, fmt.Errorf("%w (diameter %d > k=%d)", ErrDiameterExceedsK, diam, k)
 	}
 	// Build the compact weight-class instance directly over the distance
-	// matrix: Weight(u,v) = classWeights[dist(u,v)-1]. No n²·int64 copy.
+	// matrix: Weight(u,v) = classWeights[dist(u,v)-1]. No n²·int64 copy,
+	// and no scan: a connected graph's BFS matrix has a zero diagonal and
+	// every distance 1…diam, so the class tables cost O(k).
 	classWeights := make([]int64, k)
 	for i, pi := range p {
 		classWeights[i] = int64(pi)
 	}
-	ins := tsp.NewClassInstance(g.N(), dm.Data(), classWeights)
+	ins := tsp.NewClassInstance(g.N(), dm.Data(), diam, classWeights)
 	return &Reduction{G: g, P: p, Instance: ins, Dist: dm, Diameter: diam}, nil
 }
 
 // reduceFromProbe builds the reduction from the planner's probe,
 // re-validating Theorem 2's hypotheses in the same order as Reduce (so
-// forced-method callers observe the same typed errors).
+// forced-method callers observe the same typed errors). A probe of a tree
+// (a star is one of diameter 2) builds its matrix here.
 func reduceFromProbe(pr *Probe, p labeling.Vector) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -177,7 +181,11 @@ func reduceFromProbe(pr *Probe, p labeling.Vector) (*Reduction, error) {
 		pmin, pmax := p.MinMax()
 		return nil, fmt.Errorf("%w (pmin=%d, pmax=%d)", ErrConditionViolated, pmin, pmax)
 	}
-	return reduceFrom(pr.G, p, pr.Dist, pr.Diameter, pr.Connected)
+	dm, err := pr.Dist()
+	if err != nil {
+		return nil, err
+	}
+	return reduceFrom(pr.G, p, dm, pr.Diameter, pr.Connected)
 }
 
 // LabelingFromTour converts a Hamiltonian path of H into the minimum-span

@@ -328,7 +328,19 @@ func solveSingle(ctx context.Context, g *graph.Graph, p labeling.Vector, opts *O
 		opts.CostModel.Observe(m.Name(), pr.N, pr.M, pr.Diameter, pmax, res.SolveTime)
 	}
 	if opts.Verify {
-		if err := labeling.VerifyWithMatrix(pr.Dist, p, res.Labeling); err != nil {
+		// A probe that built no matrix verifies from adjacency when
+		// len(p) ≤ 2, where labeling.Verify needs none; otherwise the
+		// matrix is built now if no route read it, and a canceled context
+		// is the solve's error.
+		var err error
+		if pr.dist == nil && len(p) <= 2 {
+			err = labeling.Verify(pr.G, p, res.Labeling)
+		} else if dm, derr := pr.Dist(); derr != nil {
+			return nil, derr
+		} else {
+			err = labeling.VerifyWithMatrix(dm, p, res.Labeling)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: internal error, method %s produced invalid labeling: %w", res.Method, err)
 		}
 	}

@@ -288,14 +288,16 @@ func (g *Graph) Diameter() (diam int, connected bool) {
 	return max, !disc
 }
 
-// Eccentricity returns the eccentricity of u (max distance from u), and
-// whether u reaches all vertices.
-func (g *Graph) Eccentricity(u int) (ecc int, reachesAll bool) {
-	n := g.N()
-	sc := getBFSScratch(n)
+// Eccentricity runs one BFS from u and returns u's eccentricity (its
+// largest distance to a vertex it reaches), far, the last vertex the BFS
+// dequeued, which lies at that distance, and the number of vertices u
+// reaches, u included. On a tree, the eccentricity of far is the
+// diameter: the double sweep is exact there.
+func (g *Graph) Eccentricity(u int) (ecc, far, reached int) {
+	sc := getBFSScratch(g.N())
 	defer putBFSScratch(sc)
-	reached, ecc := g.csrData().bfsFrom(u, sc.dist, sc.queue)
-	return ecc, reached == n
+	reached, ecc = g.csrData().bfsFrom(u, sc.dist, sc.queue)
+	return ecc, int(sc.queue[reached-1]), reached
 }
 
 // ConnectedComponents returns the vertex sets of the connected components,

@@ -444,7 +444,9 @@ func (s *jsonScan) edgeElement(ps *pairScratch, edge int) error {
 }
 
 // intOrNull parses a strict JSON integer (no fraction, no exponent,
-// int64 range — what encoding/json accepts into an int) or null.
+// int64 range — what encoding/json accepts into an int) or null. The
+// digits are accumulated in place; only a literal of more than 18 digits,
+// which may leave the int64 range, goes through strconv.ParseInt.
 func (s *jsonScan) intOrNull() (int64, bool, error) {
 	if s.pos < len(s.data) && s.data[s.pos] == 'n' {
 		return 0, true, s.literal("null")
@@ -454,7 +456,9 @@ func (s *jsonScan) intOrNull() (int64, bool, error) {
 		s.pos++
 	}
 	digits := 0
+	var v int64
 	for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
+		v = v*10 + int64(s.data[s.pos]-'0')
 		s.pos++
 		digits++
 	}
@@ -478,9 +482,15 @@ func (s *jsonScan) intOrNull() (int64, bool, error) {
 			return 0, false, s.errAt("number %q is not an integer", lit)
 		}
 	}
-	v, err := strconv.ParseInt(string(lit), 10, 64)
-	if err != nil {
-		return 0, false, s.errAt("integer %q out of range", lit)
+	if digits > 18 {
+		v, err := strconv.ParseInt(string(lit), 10, 64)
+		if err != nil {
+			return 0, false, s.errAt("integer %q out of range", lit)
+		}
+		return v, false, nil
+	}
+	if neg {
+		v = -v
 	}
 	return v, false, nil
 }

@@ -209,6 +209,21 @@ func FuzzDecodeEquivalence(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"N":3,"EDGES":[[0,2]]}`))
+	// Integers at the in-place parser's edges: 17 to 20 digits around its
+	// 18-digit cut-over to strconv, the int64 limits and one past them,
+	// negative zero, and leading zeros.
+	f.Add([]byte(`{"n":12345678901234567,"edges":[[0,99999999999999999]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[0,999999999999999999],[1,-999999999999999999]]}`))
+	f.Add([]byte(`{"n":1000000000000000000,"edges":[[0,-1000000000000000000]]}`))
+	f.Add([]byte(`{"n":2,"edges":[[0,12345678901234567890]]}`))
+	f.Add([]byte(`{"n":9223372036854775807,"edges":[[-9223372036854775808,9223372036854775807]]}`))
+	f.Add([]byte(`{"n":2,"edges":[[9223372036854775808,1]]}`))
+	f.Add([]byte(`{"n":-9223372036854775809}`))
+	f.Add([]byte(`{"n":-0,"edges":[[-0,1]]}`))
+	f.Add([]byte(`{"n":2,"edges":[[-0,1]]}`))
+	f.Add([]byte(`{"n":02,"edges":[[0,1]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[00,1],[-01,2]]}`))
+	f.Add([]byte(`{"n":000000000000000000003}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ref, refErr := decodeJSONReference(body)
 		got, gotErr := decodeJSONGraph(body)

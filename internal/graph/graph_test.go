@@ -333,11 +333,22 @@ func TestReadBareFormat(t *testing.T) {
 
 func TestEccentricity(t *testing.T) {
 	g := Path(5)
-	if ecc, all := g.Eccentricity(0); ecc != 4 || !all {
-		t.Fatalf("ecc(0)=%d", ecc)
+	if ecc, far, reached := g.Eccentricity(0); ecc != 4 || far != 4 || reached != 5 {
+		t.Fatalf("Eccentricity(0) = (%d, %d, %d), want (4, 4, 5)", ecc, far, reached)
 	}
-	if ecc, all := g.Eccentricity(2); ecc != 2 || !all {
-		t.Fatalf("ecc(2)=%d", ecc)
+	if ecc, far, reached := g.Eccentricity(2); ecc != 2 || (far != 0 && far != 4) || reached != 5 {
+		t.Fatalf("Eccentricity(2) = (%d, %d, %d), want (2, 0 or 4, 5)", ecc, far, reached)
+	}
+	// Two components: 0–1–2 and 3–4.
+	h := New(5)
+	h.AddEdge(0, 1)
+	h.AddEdge(1, 2)
+	h.AddEdge(3, 4)
+	if ecc, far, reached := h.Eccentricity(1); ecc != 1 || reached != 3 || (far != 0 && far != 2) {
+		t.Fatalf("Eccentricity(1) = (%d, %d, %d), want (1, 0 or 2, 3)", ecc, far, reached)
+	}
+	if ecc, far, reached := h.Eccentricity(4); ecc != 1 || far != 3 || reached != 2 {
+		t.Fatalf("Eccentricity(4) = (%d, %d, %d), want (1, 3, 2)", ecc, far, reached)
 	}
 }
 

@@ -1,11 +1,6 @@
 package pathpart
 
-import (
-	"fmt"
-
-	"lpltsp/internal/graph"
-	"lpltsp/internal/modular"
-)
+import "lpltsp/internal/graph"
 
 // Cograph-specific exact path-cover counting. Connected cographs have
 // diameter ≤ 2, so they sit squarely inside Corollary 2's scope, and
@@ -25,55 +20,17 @@ import (
 // recurrence is cross-validated against the exact DP in tests.
 
 // CographCount returns the minimum number of vertex-disjoint paths
-// covering g, computed from the modular decomposition. It errors if g is
-// not a cograph (its decomposition contains a prime node).
+// covering g: the paths of CographPaths, whose joins realize the
+// recurrence above. It errors if g is not a cograph, at the first vertex
+// set that neither g nor its complement splits, so rejecting a graph
+// costs only the splits above its first prime node: O(n + m) when g and
+// its complement are both connected.
 func CographCount(g *graph.Graph) (int, error) {
-	if g.N() == 0 {
-		return 0, nil
+	paths, err := CographPaths(g)
+	if err != nil {
+		return 0, err
 	}
-	return CographCountTree(modular.Decompose(g))
-}
-
-// CographCountTree computes the minimum path cover from a modular
-// decomposition tree. The tree must be prime-free (a cotree).
-func CographCountTree(root *modular.MDNode) (int, error) {
-	switch root.Kind {
-	case modular.Leaf:
-		return 1, nil
-	case modular.Parallel:
-		total := 0
-		for _, c := range root.Children {
-			pc, err := CographCountTree(c)
-			if err != nil {
-				return 0, err
-			}
-			total += pc
-		}
-		return total, nil
-	case modular.Series:
-		// Fold the join over children left to right; the recurrence is
-		// associative when applied pairwise because the join of cographs
-		// is again a cograph and path-cover counts compose.
-		accPC := 0
-		accN := 0
-		for i, c := range root.Children {
-			pc, err := CographCountTree(c)
-			if err != nil {
-				return 0, err
-			}
-			cn := len(c.Vertices)
-			if i == 0 {
-				accPC, accN = pc, cn
-				continue
-			}
-			accPC = joinPC(accPC, accN, pc, cn)
-			accN += cn
-		}
-		return accPC, nil
-	default:
-		return 0, fmt.Errorf("pathpart: not a cograph (prime node over %d vertices)",
-			len(root.Vertices))
-	}
+	return len(paths), nil
 }
 
 func joinPC(pcA, a, pcB, b int) int {

@@ -6,8 +6,8 @@ import (
 	"lpltsp/internal/graph"
 )
 
-// Constructive counterpart of CographCount: build an actual minimum path
-// cover of a cograph from its cotree. The join step realizes the
+// Build an actual minimum path cover of a cograph from its cotree (and
+// count one: CographCount is its length). The join step realizes the
 // recurrence pc(A∗B) = max(1, pcA−|B|, pcB−|A|):
 //
 //   - A-heavy (pcA−|B| = t ≥ 1): break B into singleton connectors and
@@ -20,7 +20,8 @@ import (
 //
 // Every junction alternates sides, so it is a join edge; pieces keep
 // their side's internal edges. The tests verify both validity (Verify)
-// and minimality (length == CographCount == the 2ⁿ DP on small n).
+// and minimality (length == the recurrence over the modular
+// decomposition == the 2ⁿ DP on small n).
 
 // CographPaths returns a minimum path cover of the cograph g. It splits
 // V into the components of g or, when g is connected, of its complement

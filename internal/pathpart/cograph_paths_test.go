@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lpltsp/internal/graph"
+	"lpltsp/internal/modular"
 	"lpltsp/internal/rng"
 )
 
@@ -22,7 +23,7 @@ func TestCographPathsValidAndMinimum(t *testing.T) {
 		if err := Verify(g, paths); err != nil {
 			t.Fatalf("trial %d (n=%d): invalid cover: %v", trial, n, err)
 		}
-		count, err := CographCount(g)
+		count, err := cotreeCount(modular.Decompose(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func TestCographPathsLargeScale(t *testing.T) {
 		if err := Verify(g, paths); err != nil {
 			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
 		}
-		count, err := CographCount(g)
+		count, err := cotreeCount(modular.Decompose(g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,55 @@
 package pathpart
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"lpltsp/internal/graph"
+	"lpltsp/internal/modular"
 	"lpltsp/internal/rng"
 )
 
+// cotreeCount is the oracle of the tests below: the path-cover recurrence
+// evaluated over the full modular decomposition, independent of
+// CographPaths' splits. It errors at a prime node.
+func cotreeCount(root *modular.MDNode) (int, error) {
+	switch root.Kind {
+	case modular.Leaf:
+		return 1, nil
+	case modular.Parallel:
+		total := 0
+		for _, c := range root.Children {
+			pc, err := cotreeCount(c)
+			if err != nil {
+				return 0, err
+			}
+			total += pc
+		}
+		return total, nil
+	case modular.Series:
+		accPC, accN := 0, 0
+		for i, c := range root.Children {
+			pc, err := cotreeCount(c)
+			if err != nil {
+				return 0, err
+			}
+			if i == 0 {
+				accPC, accN = pc, len(c.Vertices)
+				continue
+			}
+			accPC = joinPC(accPC, accN, pc, len(c.Vertices))
+			accN += len(c.Vertices)
+		}
+		return accPC, nil
+	default:
+		return 0, fmt.Errorf("prime node over %d vertices", len(root.Vertices))
+	}
+}
+
 // TestCographRecurrenceVsExactDP is the load-bearing cross-validation of
-// the cotree recurrence against the general 2ⁿ DP on random cographs.
+// the count, and of the cotree recurrence it realizes, against the
+// general 2ⁿ DP on random cographs.
 func TestCographRecurrenceVsExactDP(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 80; trial++ {
@@ -23,8 +64,55 @@ func TestCographRecurrenceVsExactDP(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := len(paths); got != want {
-			t.Fatalf("trial %d (n=%d): recurrence %d, exact DP %d", trial, n, got, want)
+			t.Fatalf("trial %d (n=%d): count %d, exact DP %d", trial, n, got, want)
 		}
+		if rec, err := cotreeCount(modular.Decompose(g)); err != nil || rec != got {
+			t.Fatalf("trial %d (n=%d): recurrence %d (%v), exact DP %d", trial, n, rec, err, got)
+		}
+	}
+}
+
+// TestCographCountMatchesRecurrence: on 240 seeded cographs with up to 200
+// vertices, the count through CographPaths' splits equals the recurrence
+// over the full modular decomposition.
+func TestCographCountMatchesRecurrence(t *testing.T) {
+	r := rng.New(22)
+	for trial := 0; trial < 240; trial++ {
+		n := 1 + r.Intn(200)
+		g := graph.RandomCograph(r, n)
+		if trial%2 == 1 {
+			g = g.Complement() // the complement of a cograph is one
+		}
+		got, err := CographCount(g)
+		if err != nil {
+			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
+		}
+		want, err := cotreeCount(modular.Decompose(g))
+		if err != nil {
+			t.Fatalf("trial %d (n=%d): oracle: %v", trial, n, err)
+		}
+		if got != want {
+			t.Fatalf("trial %d (n=%d): count %d, recurrence %d", trial, n, got, want)
+		}
+	}
+}
+
+// TestCographCountRejectsEarly: in a random diameter-2 graph with n = 160
+// the complement splits off only the universal vertex 0, and the other
+// 159 vertices form a prime node. The count rejects it after four linear
+// splits (27 kB) instead of a full modular decomposition (54 MB).
+func TestCographCountRejectsEarly(t *testing.T) {
+	g := graph.RandomDiameter2(rng.New(1), 160, 0.5)
+	g.Neighbors(0) // build the CSR view outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := CographCount(g)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a random diameter-2 graph on 160 vertices must be rejected")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("rejection allocated %d bytes", alloc)
 	}
 }
 

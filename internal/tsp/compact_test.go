@@ -15,7 +15,8 @@ import (
 func classInstancePair(r *rng.RNG, n, k int) (*Instance, *Instance) {
 	g := graph.RandomSmallDiameter(r, n, k, 0.3)
 	dm := g.AllPairsDistances()
-	if _, disc := dm.Max(); disc {
+	diam, disc := dm.Max()
+	if disc {
 		// RandomSmallDiameter guarantees connectivity; belt and braces.
 		panic("disconnected test graph")
 	}
@@ -24,7 +25,7 @@ func classInstancePair(r *rng.RNG, n, k int) (*Instance, *Instance) {
 	for i := range classWeights {
 		classWeights[i] = pmin + int64(r.Intn(2)) // duplicates likely
 	}
-	compact := NewClassInstance(n, dm.Data(), classWeights)
+	compact := NewClassInstance(n, dm.Data(), diam, classWeights)
 	return compact, compact.Densify()
 }
 
@@ -79,6 +80,10 @@ func TestClassInstanceImmutable(t *testing.T) {
 	mustPanic("Row", func() { compact.Row(0) })
 }
 
+// TestNewClassInstanceRejectsBadMatrices pins the constructor's O(1)
+// checks. It does not scan the matrix, so a bad diagonal or an
+// off-diagonal entry past the largest distance is the caller's to rule
+// out, as a BFS matrix does.
 func TestNewClassInstanceRejectsBadMatrices(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -88,41 +93,23 @@ func TestNewClassInstanceRejectsBadMatrices(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("short matrix", func() { NewClassInstance(3, make([]uint16, 8), []int64{1, 2}) })
-	mustPanic("nonzero diagonal", func() {
-		NewClassInstance(2, []uint16{1, 1, 1, 0}, []int64{1})
+	mustPanic("short matrix", func() { NewClassInstance(3, make([]uint16, 8), 2, []int64{1, 2}) })
+	mustPanic("largest distance beyond classes", func() {
+		NewClassInstance(2, []uint16{0, 3, 3, 0}, 3, []int64{1, 2})
 	})
-	mustPanic("distance beyond classes", func() {
-		NewClassInstance(2, []uint16{0, 3, 3, 0}, []int64{1, 2})
+	mustPanic("no distance between two vertices", func() {
+		NewClassInstance(2, []uint16{0, 0, 0, 0}, 0, []int64{1})
 	})
-	mustPanic("zero off-diagonal", func() {
-		NewClassInstance(2, []uint16{0, 0, 0, 0}, []int64{1})
+	mustPanic("negative largest distance", func() {
+		NewClassInstance(1, []uint16{0}, -1, []int64{1})
 	})
-}
-
-// TestClassInstanceDistanceGaps covers hand-built matrices whose distance
-// values have gaps (valid per NewClassInstance's contract, impossible for
-// BFS-continuous reduction matrices): the class structure must reflect
-// only weights that occur between some pair.
-func TestClassInstanceDistanceGaps(t *testing.T) {
-	// Distance 2 occurs, distance 1 never does; its weight 5 must not
-	// surface anywhere.
-	ins := NewClassInstance(2, []uint16{0, 2, 2, 0}, []int64{5, 1})
-	if got := ins.Classes(); got != 1 {
-		t.Fatalf("Classes() = %d, want 1 (distance 1 never occurs)", got)
-	}
-	min, max := ins.MinMaxWeight()
-	if min != 1 || max != 1 {
-		t.Fatalf("MinMaxWeight = (%d,%d), want (1,1)", min, max)
-	}
-	if w := ins.Weight(0, 1); w != 1 {
-		t.Fatalf("Weight(0,1) = %d, want 1", w)
-	}
 }
 
 // TestHeldKarpLargeDistanceValues covers compact instances whose distance
-// values exceed HeldKarpMaxN (valid when enough classWeights are given):
-// the DP must translate them through the lut, not assume diam < n.
+// values exceed HeldKarpMaxN, which no BFS matrix small enough for the DP
+// has (this one skips distances 1…29, so its classes include weights no
+// pair has): the DP must translate them through the lut, not assume
+// diam < n.
 func TestHeldKarpLargeDistanceValues(t *testing.T) {
 	const big = 30 // > HeldKarpMaxN
 	cw := make([]int64, big)
@@ -138,7 +125,7 @@ func TestHeldKarpLargeDistanceValues(t *testing.T) {
 			}
 		}
 	}
-	ins := NewClassInstance(n, dist, cw)
+	ins := NewClassInstance(n, dist, big, cw)
 	tour, cost, err := HeldKarpPath(ins)
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +181,9 @@ func TestNearestNeighborsZeroK(t *testing.T) {
 }
 
 // TestGreedyEdgePathMSTMatchesPrim: the Kruskal weight taken inside the
-// greedy sweep equals Prim's MST weight, on compact instances (counting
-// sort) and on dense ones with arbitrary weights (comparison sort), and
-// the sweep's path is GreedyEdgePath's.
+// greedy sweep equals Prim's MST weight, on compact instances (one pass
+// per weight class) and on dense ones with arbitrary weights (comparison
+// sort), and the sweep's path is GreedyEdgePath's.
 func TestGreedyEdgePathMSTMatchesPrim(t *testing.T) {
 	r := rng.New(305)
 	var prim mst.PrimScratch
@@ -215,9 +202,9 @@ func TestGreedyEdgePathMSTMatchesPrim(t *testing.T) {
 	}
 }
 
-// TestGreedyEdgeCompactMatchesDense asserts the counting-sorted compact
-// edge sweep visits edges in the same canonical (weight, u, v) order as
-// the dense comparison sort, and therefore builds the identical path.
+// TestGreedyEdgeCompactMatchesDense asserts the per-class compact sweep
+// visits edges in the same canonical (weight, u, v) order as the dense
+// comparison sort, and therefore builds the identical path.
 func TestGreedyEdgeCompactMatchesDense(t *testing.T) {
 	r := rng.New(304)
 	for trial := 0; trial < 20; trial++ {

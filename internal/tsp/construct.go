@@ -140,10 +140,11 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 // disjoint union of simple paths (degree ≤ 2, no cycle). The n-1 accepted
 // edges form a single Hamiltonian path.
 //
-// Edges are considered in (weight, u, v) order. Compact instances reach
-// that order by a counting sort over the ≤k weight classes — O(n²) total,
-// no comparison sort; dense instances sort explicitly. All sweep state
-// (edge list, degrees, adjacency, union-finds) is pooled.
+// Edges are considered in (weight, u, v) order. Compact instances walk
+// the distance matrix once per weight class, lightest first, rows and
+// then columns ascending, which is that order with no edge list and no
+// sort; dense instances sort an explicit edge list. All sweep state
+// (degrees, adjacency, union-finds, the dense edge list) is pooled.
 func GreedyEdgePath(ins *Instance) Tour {
 	t, _ := GreedyEdgePathMST(ins)
 	return t
@@ -155,76 +156,27 @@ func GreedyEdgePath(ins *Instance) Tour {
 // iterations: the path forest's edges are a subset of each prefix of the
 // order, so at every prefix it has at least as many components as
 // Kruskal's forest, and the tree is complete no later than the path.
+//
+// The sweep stops at the (n−1)-th path edge. On compact instances, once
+// Kruskal's tree is complete, an edge matters only to the path, which
+// rejects every edge at a vertex of degree 2: the sweep then skips the
+// row of such a vertex and leaves a row as soon as its vertex reaches
+// degree 2. On a one-weight instance every path edge after the first row
+// is then found within a few columns of its row's start.
 func GreedyEdgePathMST(ins *Instance) (Tour, int64) {
 	n := ins.n
 	if n <= 1 {
 		return identity(n), 0
 	}
-	sc := getGreedyScratch(n, ins.Classes())
+	sc := getGreedyScratch(n)
 	defer putGreedyScratch(sc)
-	edges := sc.edges
 	if ins.Compact() {
-		// Counting sort by weight-class rank. Scanning (i,j) in lex order
-		// makes each class bucket lex-sorted, and ranks ascend by weight,
-		// so the filled edge list is exactly in (weight, u, v) order.
-		classOf, cnt := ins.classOf, sc.cnt
-		for i := 0; i < n; i++ {
-			drow := ins.distRow(i)
-			for j := i + 1; j < n; j++ {
-				cnt[classOf[drow[j]]+1]++
-			}
-		}
-		for c := 2; c < len(cnt); c++ {
-			cnt[c] += cnt[c-1]
-		}
-		lut := ins.lut
-		for i := 0; i < n; i++ {
-			drow := ins.distRow(i)
-			for j := i + 1; j < n; j++ {
-				c := classOf[drow[j]]
-				edges[cnt[c]] = greedyEdge{lut[drow[j]], packUV(i, j)}
-				cnt[c]++
-			}
-		}
+		sc.sweepClasses(ins)
 	} else {
-		e := 0
-		for i := 0; i < n; i++ {
-			row := ins.Row(i)
-			for j := i + 1; j < n; j++ {
-				edges[e] = greedyEdge{row[j], packUV(i, j)}
-				e++
-			}
-		}
-		sort.Slice(edges, func(a, b int) bool {
-			if edges[a].w != edges[b].w {
-				return edges[a].w < edges[b].w
-			}
-			return edges[a].uv < edges[b].uv
-		})
-	}
-	deg, adj, d, kd := sc.deg, sc.adj, &sc.d, &sc.kruskal
-	taken, spanned := 0, 0
-	var mst int64
-	for _, e := range edges {
-		if taken == n-1 {
-			break
-		}
-		u, v := e.split()
-		if spanned < n-1 && kd.Union(u, v) {
-			mst += e.w
-			spanned++
-		}
-		if deg[u] >= 2 || deg[v] >= 2 || d.Same(u, v) {
-			continue
-		}
-		d.Union(u, v)
-		adj[u][deg[u]] = int32(v)
-		adj[v][deg[v]] = int32(u)
-		deg[u]++
-		deg[v]++
-		taken++
+		sc.sweepSorted(ins)
 	}
 	// Walk the single path from one endpoint.
+	deg, adj := sc.deg, sc.adj
 	start := 0
 	for v := 0; v < n; v++ {
 		if deg[v] <= 1 {
@@ -246,5 +198,85 @@ func GreedyEdgePathMST(ins *Instance) (Tour, int64) {
 			break
 		}
 	}
-	return tour, mst
+	return tour, sc.mst
+}
+
+// sweepClasses offers a compact instance's edges in (weight, u, v) order:
+// one pass per weight class in ascending rank, rows ascending and columns
+// j > i ascending within a pass.
+func (sc *greedyScratch) sweepClasses(ins *Instance) {
+	n, classOf := ins.n, ins.classOf
+	for c, w := range ins.classW {
+		rank := int32(c)
+		for i := 0; i < n-1; i++ {
+			if sc.spanned == n-1 && sc.deg[i] >= 2 {
+				continue
+			}
+			drow := ins.distRow(i)
+			for j := i + 1; j < n; j++ {
+				if classOf[drow[j]] != rank {
+					continue
+				}
+				sc.offer(i, j, w)
+				if sc.taken == n-1 {
+					return
+				}
+				if sc.spanned == n-1 && sc.deg[i] >= 2 {
+					break
+				}
+			}
+		}
+	}
+}
+
+// sweepSorted offers a dense instance's edges in (weight, u, v) order by
+// sorting the upper triangle.
+func (sc *greedyScratch) sweepSorted(ins *Instance) {
+	n := ins.n
+	ne := n * (n - 1) / 2
+	if cap(sc.edges) < ne {
+		sc.edges = make([]greedyEdge, ne)
+	}
+	edges := sc.edges[:ne]
+	e := 0
+	for i := 0; i < n; i++ {
+		row := ins.Row(i)
+		for j := i + 1; j < n; j++ {
+			edges[e] = greedyEdge{row[j], packUV(i, j)}
+			e++
+		}
+	}
+	sort.Slice(edges, func(a, b int) bool {
+		if edges[a].w != edges[b].w {
+			return edges[a].w < edges[b].w
+		}
+		return edges[a].uv < edges[b].uv
+	})
+	for _, e := range edges {
+		u, v := e.split()
+		sc.offer(u, v, e.w)
+		if sc.taken == n-1 {
+			return
+		}
+	}
+}
+
+// offer hands edge {u,v} of weight w, the next in (weight, u, v) order, to
+// both forests: Kruskal's takes it while incomplete and when it joins two
+// trees, the path forest when neither end has degree 2 and it closes no
+// cycle.
+func (sc *greedyScratch) offer(u, v int, w int64) {
+	if sc.spanned < len(sc.deg)-1 && sc.kruskal.Union(u, v) {
+		sc.mst += w
+		sc.spanned++
+	}
+	if sc.deg[u] >= 2 || sc.deg[v] >= 2 || sc.d.Same(u, v) {
+		return
+	}
+	sc.d.Union(u, v)
+	sc.adj[u][sc.deg[u]] = int32(v)
+	sc.adj[v][sc.deg[v]] = int32(u)
+	sc.deg[u]++
+	sc.deg[v]++
+	sc.taken++
 }

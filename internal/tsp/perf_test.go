@@ -18,8 +18,9 @@ import (
 func benchPair(n, k int) (compact, dense *Instance) {
 	g := graph.RandomSmallDiameter(rng.New(77), n, k, 4.0/float64(n))
 	dm := g.AllPairsDistances()
+	diam, _ := dm.Max()
 	classWeights := []int64{2, 2, 1, 1}[:k]
-	compact = NewClassInstance(n, dm.Data(), classWeights)
+	compact = NewClassInstance(n, dm.Data(), diam, classWeights)
 	return compact, compact.Densify()
 }
 

@@ -105,7 +105,7 @@ func getVisited(n int) *visitedScratch {
 
 func putVisited(sc *visitedScratch) { visitedPool.Put(sc) }
 
-// greedyEdge is the edge record of GreedyEdgePath's sweep. uv packs
+// greedyEdge is the edge record of GreedyEdgePath's dense sweep. uv packs
 // (u << 32) | v so the (weight, u, v) tie-break is a two-field compare.
 type greedyEdge struct {
 	w  int64
@@ -116,28 +116,26 @@ func (e greedyEdge) split() (u, v int) { return int(e.uv >> 32), int(uint32(e.uv
 
 func packUV(u, v int) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
 
-// greedyScratch backs GreedyEdgePathMST: the edge list (n(n-1)/2 entries,
-// by far the largest heuristic allocation), degree counters, path
-// adjacency, counting-sort offsets for compact instances, and the
-// union-finds of the path forest and of Kruskal's forest.
+// greedyScratch backs GreedyEdgePathMST: degree counters, path
+// adjacency, the union-finds of the path forest and of Kruskal's forest,
+// the sweep's tallies, and the edge list of dense instances (n(n-1)/2
+// entries; compact instances sweep the matrix and need none).
 type greedyScratch struct {
 	edges   []greedyEdge
 	deg     []int8
 	adj     [][2]int32
-	cnt     []int32
 	d       dsu.DSU
 	kruskal dsu.DSU
+	// taken and spanned count the edges of the path forest and of
+	// Kruskal's forest; mst is the weight of Kruskal's.
+	taken, spanned int
+	mst            int64
 }
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-func getGreedyScratch(n, classes int) *greedyScratch {
+func getGreedyScratch(n int) *greedyScratch {
 	sc := greedyPool.Get().(*greedyScratch)
-	ne := n * (n - 1) / 2
-	if cap(sc.edges) < ne {
-		sc.edges = make([]greedyEdge, ne)
-	}
-	sc.edges = sc.edges[:ne]
 	if cap(sc.deg) < n {
 		sc.deg = make([]int8, n)
 		sc.adj = make([][2]int32, n)
@@ -148,15 +146,9 @@ func getGreedyScratch(n, classes int) *greedyScratch {
 		sc.deg[i] = 0
 		sc.adj[i] = [2]int32{-1, -1}
 	}
-	if cap(sc.cnt) < classes+1 {
-		sc.cnt = make([]int32, classes+1)
-	}
-	sc.cnt = sc.cnt[:classes+1]
-	for i := range sc.cnt {
-		sc.cnt[i] = 0
-	}
 	sc.d.Reset(n)
 	sc.kruskal.Reset(n)
+	sc.taken, sc.spanned, sc.mst = 0, 0, 0
 	return sc
 }
 

@@ -19,14 +19,15 @@
 //     w(u,v) = p[dist(u,v)-1], so at most k = dim(p) distinct values
 //     occur. NewClassInstance stores only a shared row-major []uint16
 //     distance matrix plus a (diameter+1)-entry distance→weight lookup
-//     table — 2 bytes per entry instead of 8, with zero copying of the
-//     matrix the reduction already computed.
+//     table — 2 bytes per entry instead of 8, with no copy and no scan of
+//     the matrix the reduction already computed.
 //
 // Compact instances are immutable and additionally expose the weight-class
 // structure (classOf/classW): the distinct weights sorted ascending and a
 // distance→class-rank map. Engines exploit it for comparison-sort-free
-// neighbor lists and counting-sorted edge sweeps (O(n²) instead of
-// O(n² log n)).
+// neighbor lists and for greedy-edge sweeps that walk the matrix once per
+// weight class, in (weight, u, v) order with no edge list (O(k·n²) at
+// worst instead of O(n² log n), and stopping at the last path edge).
 //
 // # Memory model
 //
@@ -52,9 +53,9 @@ type Instance struct {
 
 	// Compact (weight-class) backing. dist is the shared row-major
 	// distance matrix (aliased, read-only); lut[d] is the weight of
-	// distance class d with lut[0] = 0, truncated to the largest distance
-	// actually present. classOf[d] ranks distance d among the distinct
-	// weights (ascending); classW lists those distinct weights ascending.
+	// distance class d with lut[0] = 0, truncated to the largest distance.
+	// classOf[d] ranks distance d among the distinct weights (ascending);
+	// classW lists those distinct weights ascending.
 	dist    []uint16
 	lut     []int64
 	classOf []int32
@@ -69,62 +70,44 @@ func NewInstance(n int) *Instance {
 	return &Instance{n: n, w: make([]int64, n*n)}
 }
 
-// NewClassInstance returns a compact instance over a row-major n×n distance
-// matrix and per-distance class weights: Weight(i,j) =
+// NewClassInstance returns a compact instance over the row-major n×n BFS
+// distance matrix of a connected graph whose largest distance is maxDist,
+// with per-distance class weights: Weight(i,j) =
 // classWeights[dist[i*n+j]-1]. The matrix is aliased read-only, not copied
 // — the caller must not mutate it while the instance is in use (sharing it
-// across concurrent solvers is fine, and the point). Every off-diagonal
-// entry of dist must be in [1, len(classWeights)] and every diagonal entry
-// 0; violations panic, since they would silently corrupt every solve.
-func NewClassInstance(n int, dist []uint16, classWeights []int64) *Instance {
+// across concurrent solvers is fine, and the point).
+//
+// The matrix is not scanned, so the class tables cost O(maxDist), not n².
+// The caller vouches for what such a matrix guarantees: a zero diagonal,
+// every off-diagonal entry in [1, maxDist], and every distance 1…maxDist
+// occurring between some pair. graph.DistMatrix.Max records maxDist. A
+// matrix of the wrong size, or a maxDist past len(classWeights) (or below
+// 1 with two or more vertices), panics, since either would corrupt every
+// solve.
+func NewClassInstance(n int, dist []uint16, maxDist int, classWeights []int64) *Instance {
 	if n < 0 {
 		panic("tsp: negative size")
 	}
 	if len(dist) != n*n {
 		panic(fmt.Sprintf("tsp: distance matrix has %d entries for n=%d", len(dist), n))
 	}
-	maxd := 0
-	occurs := make([]bool, len(classWeights)+1)
-	for i := 0; i < n; i++ {
-		row := dist[i*n : (i+1)*n]
-		for j, d := range row {
-			switch {
-			case i == j:
-				if d != 0 {
-					panic("tsp: nonzero diagonal distance")
-				}
-			case d == 0 || int(d) > len(classWeights):
-				panic(fmt.Sprintf("tsp: distance %d outside weight classes [1,%d]", d, len(classWeights)))
-			default:
-				occurs[d] = true
-				if int(d) > maxd {
-					maxd = int(d)
-				}
-			}
-		}
+	if maxDist < 0 || maxDist > len(classWeights) || (n > 1 && maxDist < 1) {
+		panic(fmt.Sprintf("tsp: largest distance %d outside weight classes [1,%d]", maxDist, len(classWeights)))
 	}
-	// lut[0] = 0 keeps diagonal lookups branch-free; truncate to the
-	// largest distance present. The class structure (classOf/classW) is
-	// built only from distances that actually occur between some pair —
-	// reduction matrices are BFS-continuous so every 1..maxd occurs, but
-	// hand-built matrices may have gaps, and a phantom class would make
-	// MinMaxWeight and the bucket sweeps report weights present between
-	// no vertices.
-	lut := make([]int64, maxd+1)
-	copy(lut[1:], classWeights[:maxd])
-	// Rank the occurring distances by weight ascending (stable in d).
-	order := make([]int32, 0, maxd)
-	for d := 1; d <= maxd; d++ {
-		if occurs[d] {
-			order = append(order, int32(d))
-		}
+	// lut[0] = 0 keeps diagonal lookups branch-free.
+	lut := make([]int64, maxDist+1)
+	copy(lut[1:], classWeights[:maxDist])
+	// Rank the distances by weight ascending (stable in d).
+	order := make([]int32, maxDist)
+	for d := range order {
+		order[d] = int32(d + 1)
 	}
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && lut[order[j]] < lut[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	classOf := make([]int32, maxd+1)
+	classOf := make([]int32, maxDist+1)
 	classW := make([]int64, 0, len(order))
 	for _, d := range order {
 		if len(classW) == 0 || classW[len(classW)-1] != lut[d] {
