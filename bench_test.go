@@ -46,9 +46,9 @@ func BenchmarkE1Reduction(b *testing.B) {
 }
 
 // BenchmarkE1ReductionDense reconstructs the pre-PR-2 representation
-// (APSP plus a dense n²·int64 weight matrix) for comparison against
-// BenchmarkE1Reduction: the compact path should be ≥4× smaller in
-// bytes/op and skip the matrix-fill time entirely.
+// (APSP plus a dense n²·int64 weight matrix, filled as a plain slice) for
+// comparison against BenchmarkE1Reduction: the compact path should be ≥4×
+// smaller in bytes/op and skip the matrix-fill time entirely.
 func BenchmarkE1ReductionDense(b *testing.B) {
 	for _, n := range []int{100, 200, 400, 800} {
 		g := lpltsp.RandomSmallDiameter(1, n, 4, 4.0/float64(n))
@@ -57,11 +57,12 @@ func BenchmarkE1ReductionDense(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dm := g.AllPairsDistances()
-				ins := tsp.NewInstance(n)
+				w := make([]int64, n*n)
 				for u := 0; u < n; u++ {
 					row := dm.Row(u)
 					for v := u + 1; v < n; v++ {
-						ins.SetWeight(u, v, int64(p[int(row[v])-1]))
+						x := int64(p[int(row[v])-1])
+						w[u*n+v], w[v*n+u] = x, x
 					}
 				}
 			}
@@ -535,23 +536,31 @@ func BenchmarkSubstrateBlossom(b *testing.B) {
 			w[i][j], w[j][i] = x, x
 		}
 	}
-	wf := func(i, j int) int64 { return w[i][j] }
+	edges := make([]matching.Edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, matching.Edge{I: i, J: j, W: w[i][j]})
+		}
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := matching.MinWeightPerfect(n, wf); err != nil {
+		if _, _, err := matching.MinWeightPerfectSparse(n, edges); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSubstrateTwoOpt(b *testing.B) {
+	// Weights in {1,2}: distance d ∈ {1,2} between every pair, weighing d.
 	r := rng.New(15)
-	ins := tsp.NewInstance(200)
+	dist := make([]uint16, 200*200)
 	for i := 0; i < 200; i++ {
 		for j := i + 1; j < 200; j++ {
-			ins.SetWeight(i, j, int64(1+r.Intn(2)))
+			d := uint16(1 + r.Intn(2))
+			dist[i*200+j], dist[j*200+i] = d, d
 		}
 	}
+	ins := tsp.NewClassInstance(200, dist, 2, []int64{1, 2})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := tsp.Tour(rng.New(uint64(i)).Perm(200))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"lpltsp/internal/graph"
@@ -10,10 +11,10 @@ import (
 	"lpltsp/internal/tsp"
 )
 
-// These tests prove the compact weight-class representation built by
-// ReduceContext is observationally equivalent to the dense int64 instance
-// it replaced, across the full engine registry on randomized reduced
-// instances.
+// These tests check the weight-class instance built by ReduceContext
+// against a test-side oracle — p over the reduction's BFS matrix, the
+// dense int64 weights the instance replaced — across the full engine
+// table on randomized reduced instances.
 
 func randomReduction(t *testing.T, r *rng.RNG, n, k int) *Reduction {
 	t.Helper()
@@ -30,14 +31,11 @@ func randomReduction(t *testing.T, r *rng.RNG, n, k int) *Reduction {
 	return red
 }
 
-// TestReduceProducesCompactInstance pins the tentpole property: the
-// reduction no longer materializes a dense weight matrix.
+// TestReduceProducesCompactInstance pins the weight-class form: at most
+// dim(p) distinct weights, read live through Reduction.Dist.
 func TestReduceProducesCompactInstance(t *testing.T) {
 	r := rng.New(401)
 	red := randomReduction(t, r, 20, 3)
-	if !red.Instance.Compact() {
-		t.Fatal("Reduce built a dense instance")
-	}
 	if c := red.Instance.Classes(); c < 1 || c > 3 {
 		t.Fatalf("Classes() = %d, want within [1,3]", c)
 	}
@@ -55,97 +53,104 @@ func TestReduceProducesCompactInstance(t *testing.T) {
 	}
 }
 
+// oracleWeights is the dense weight matrix of a reduction computed from
+// its definition, w(u,v) = p[dist(u,v)-1], without the instance.
+func oracleWeights(red *Reduction) [][]int64 {
+	n := red.G.N()
+	w := make([][]int64, n)
+	for u := range w {
+		w[u] = make([]int64, n)
+		for v := range w[u] {
+			if u != v {
+				w[u][v] = int64(red.P[int(red.Dist.Dist(u, v))-1])
+			}
+		}
+	}
+	return w
+}
+
+func oraclePathCost(w [][]int64, t tsp.Tour) int64 {
+	var c int64
+	for i := 0; i+1 < len(t); i++ {
+		c += w[t[i]][t[i+1]]
+	}
+	return c
+}
+
 // TestCompactDenseWeightAndCostAgreement checks Weight/PathCost/
-// MinMaxWeight/metricity agreement on randomized reduced instances.
+// MinMaxWeight/metricity against the oracle on randomized reduced
+// instances.
 func TestCompactDenseWeightAndCostAgreement(t *testing.T) {
 	r := rng.New(402)
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + r.Intn(30)
 		k := 2 + r.Intn(3)
 		red := randomReduction(t, r, n, k)
-		compact := red.Instance
-		dense := compact.Densify()
+		ins := red.Instance
+		dense := oracleWeights(red)
+		dmin, dmax := dense[0][1], int64(0)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if compact.Weight(i, j) != dense.Weight(i, j) {
+				if ins.Weight(i, j) != dense[i][j] {
 					t.Fatalf("Weight(%d,%d) disagrees", i, j)
+				}
+				if i != j {
+					dmin, dmax = min(dmin, dense[i][j]), max(dmax, dense[i][j])
 				}
 			}
 		}
-		cmin, cmax := compact.MinMaxWeight()
-		dmin, dmax := dense.MinMaxWeight()
-		if cmin != dmin || cmax != dmax {
-			t.Fatalf("MinMaxWeight: (%d,%d) vs (%d,%d)", cmin, cmax, dmin, dmax)
+		if cmin, cmax := ins.MinMaxWeight(); cmin != dmin || cmax != dmax {
+			t.Fatalf("MinMaxWeight: (%d,%d) vs oracle (%d,%d)", cmin, cmax, dmin, dmax)
 		}
-		if !compact.IsMetric() {
+		if !ins.IsMetric() {
 			t.Fatal("reduced instance not metric")
 		}
 		for rep := 0; rep < 4; rep++ {
 			tour := tsp.Tour(r.Perm(n))
-			if compact.PathCost(tour) != dense.PathCost(tour) {
+			if ins.PathCost(tour) != oraclePathCost(dense, tour) {
 				t.Fatalf("PathCost disagrees on %v", tour)
 			}
 		}
 	}
 }
 
-// TestEngineRegistryCompactMatchesDense runs every registered engine on
-// the compact instance and its densified twin. Engines with deterministic
-// output must return identical tours; engines whose tie-breaking is
-// scheduling-dependent (parallel racers) must still return equal costs
-// when their cost is a deterministic optimum/minimum, and in all cases
-// both representations must agree on the returned tour's evaluation.
+// TestEngineRegistryCompactMatchesDense runs every engine of the table on
+// reduced instances, with deterministic chained options and with the
+// defaults. Every engine must report its tour's cost under the oracle
+// weights and never beat the Held–Karp optimum; the exact engines must
+// meet it; and every engine, the parallel nn and default-option chained
+// included, must return the identical tour when asked again.
 func TestEngineRegistryCompactMatchesDense(t *testing.T) {
 	r := rng.New(403)
-	// chained with one restart runs a single greedy-seeded deterministic
-	// chain; the default chained roster mixes a parallel NN construction
-	// whose equal-cost tie-break is scheduling-dependent.
 	detOpts := &tsp.SolveOptions{Chained: &tsp.ChainedOptions{Restarts: 1, Kicks: 8, Seed: 11}}
-	identicalTour := map[tsp.Algorithm]bool{
-		tsp.AlgoGreedyEdge: true, tsp.AlgoTwoOpt: true, tsp.AlgoThreeOpt: true,
-		tsp.AlgoChristofides: true, tsp.AlgoHeldKarp: true, tsp.AlgoChained: true,
-	}
-	// Engines whose returned cost is a deterministic function of the
-	// instance (provable optimum, or a min over a deterministic set).
-	equalCost := map[tsp.Algorithm]bool{
-		tsp.AlgoExact: true, tsp.AlgoBnB: true, tsp.AlgoHeldKarp: true,
-		tsp.AlgoNearestNeighbor: true,
-	}
+	exact := map[tsp.Algorithm]bool{tsp.AlgoExact: true, tsp.AlgoBnB: true, tsp.AlgoHeldKarp: true}
 	for trial := 0; trial < 6; trial++ {
 		n := 6 + r.Intn(9)
 		red := randomReduction(t, r, n, 2+r.Intn(2))
-		compact := red.Instance
-		dense := compact.Densify()
+		ins := red.Instance
+		dense := oracleWeights(red)
+		_, opt, err := tsp.HeldKarpPath(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, algo := range tsp.Algorithms() {
-			tc, sc, err := tsp.SolveContext(context.Background(), compact, algo, detOpts)
-			if err != nil {
-				t.Fatalf("%s compact: %v", algo, err)
-			}
-			td, sd, err := tsp.SolveContext(context.Background(), dense, algo, detOpts)
-			if err != nil {
-				t.Fatalf("%s dense: %v", algo, err)
-			}
-			if err := compact.ValidateTour(tc); err != nil {
-				t.Fatalf("%s compact tour: %v", algo, err)
-			}
-			// Representation consistency: both backings agree on both
-			// returned tours, and the engines reported true costs.
-			if compact.PathCost(tc) != dense.PathCost(tc) || compact.PathCost(td) != dense.PathCost(td) {
-				t.Fatalf("%s: representations disagree on returned tours", algo)
-			}
-			if sc.Cost != compact.PathCost(tc) || sd.Cost != dense.PathCost(td) {
-				t.Fatalf("%s: reported cost does not match tour cost", algo)
-			}
-			if equalCost[algo] || identicalTour[algo] {
-				if sc.Cost != sd.Cost {
-					t.Fatalf("%s: compact cost %d != dense cost %d", algo, sc.Cost, sd.Cost)
+			for _, opts := range []*tsp.SolveOptions{detOpts, nil} {
+				tour, st, err := tsp.SolveContext(context.Background(), ins, algo, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", algo, err)
 				}
-			}
-			if identicalTour[algo] {
-				for i := range tc {
-					if tc[i] != td[i] {
-						t.Fatalf("%s: tours differ:\ncompact %v\ndense   %v", algo, tc, td)
-					}
+				if err := ins.ValidateTour(tour); err != nil {
+					t.Fatalf("%s tour: %v", algo, err)
+				}
+				if want := oraclePathCost(dense, tour); st.Cost != want || ins.PathCost(tour) != want {
+					t.Fatalf("%s: reported cost %d, instance %d, oracle %d", algo, st.Cost, ins.PathCost(tour), want)
+				}
+				if st.Cost < opt || (exact[algo] && st.Cost != opt) {
+					t.Fatalf("%s: cost %d against optimum %d", algo, st.Cost, opt)
+				}
+				again, _, _ := tsp.SolveContext(context.Background(), ins, algo, opts)
+				if !slices.Equal(tour, again) {
+					t.Fatalf("%s: tours differ:\nfirst %v\nagain %v", algo, tour, again)
 				}
 			}
 		}

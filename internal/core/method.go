@@ -13,7 +13,7 @@ import (
 )
 
 // MethodName identifies a solving method in the method registry — the
-// algorithm-family layer above the TSP engine registry. Where an engine
+// algorithm-family layer above the TSP engine table. Where an engine
 // answers "how do we solve path TSP", a method answers "which of the
 // paper's algorithms solves this labeling instance at all".
 type MethodName string
@@ -106,9 +106,8 @@ var (
 	methodOrder []MethodName
 )
 
-// RegisterMethod adds a method to the planner's registry. Like the engine
-// registry, names are dispatch surface: empty names, nil methods, and
-// duplicates panic.
+// RegisterMethod adds a method to the planner's registry. Method names
+// are dispatch surface: empty names, nil methods, and duplicates panic.
 func RegisterMethod(m Method) {
 	if m == nil {
 		panic("core: RegisterMethod with nil method")

@@ -12,8 +12,8 @@
 // path that meets Reduction.LowerBound, or, when p takes two values at
 // the graph's distances, an exact path cover of the lighter weight's
 // graph (Corollary 2's PARTITION INTO PATHS, for any k; provenance
-// AlgoPathCover). Otherwise it dispatches into the engine registry of
-// internal/tsp, including the portfolio race. Every input therefore gets
+// AlgoPathCover). Otherwise it dispatches to an engine of internal/tsp's
+// fixed table, or races several in the portfolio. Every input therefore gets
 // a labeling; the typed precondition errors below are returned only by
 // the direct reduction entry points (Reduce, Portfolio) and by solves
 // that pin Options.Method.

@@ -14,8 +14,8 @@ import (
 // AlgoPortfolio is the meta-engine name accepted by Options.Algorithm (and
 // the lplsolve -algo flag): instead of a single TSP engine it races a
 // roster of exact and heuristic engines concurrently and keeps the best
-// verified labeling. It is resolved here, not in the tsp registry, because
-// it composes registered engines rather than being one.
+// verified labeling. It is resolved here, not in the tsp engine table,
+// because it composes engines rather than being one.
 const AlgoPortfolio tsp.Algorithm = "portfolio"
 
 // AlgoPathCover is the provenance (Result.Algorithm and Result.Winner) of
@@ -101,8 +101,8 @@ type Options struct {
 	// with the matching typed error (ErrDisconnected and friends for the
 	// reduction) instead of being rerouted.
 	Method MethodName
-	// Algorithm selects the TSP engine (any name registered in the tsp
-	// engine registry, or AlgoPortfolio). Setting it biases the planner
+	// Algorithm selects the TSP engine (any name tsp.Algorithms lists, or
+	// AlgoPortfolio). Setting it biases the planner
 	// toward the reduction method whenever it applies — an explicit
 	// engine choice is a statement about how to solve. Empty lets the
 	// planner route freely (the reduction then uses the exact engine

@@ -1,7 +1,8 @@
-// Package euler finds Eulerian circuits and trails in undirected
-// multigraphs using Hierholzer's algorithm. Christofides builds a connected
-// multigraph with all degrees even (MST ∪ matching), walks its Eulerian
-// circuit, and shortcuts repeated vertices.
+// Package euler finds Eulerian trails in undirected multigraphs using
+// Hierholzer's algorithm. The path variant of Christofides builds a
+// connected multigraph with exactly two odd-degree vertices (MST ∪ a
+// matching that leaves two vertices unmatched), walks its Eulerian trail
+// between them, and shortcuts repeated vertices.
 package euler
 
 import "fmt"
@@ -39,18 +40,6 @@ func (m *Multigraph) EdgeCount() int { return len(m.to) / 2 }
 // Degree returns the degree of v counting multiplicities.
 func (m *Multigraph) Degree(v int) int { return len(m.adj[v]) }
 
-// Circuit returns an Eulerian circuit starting at start as a vertex
-// sequence whose first and last vertices are start. It errors if some
-// vertex has odd degree or the edges are not connected.
-func (m *Multigraph) Circuit(start int) ([]int, error) {
-	for v := 0; v < m.n; v++ {
-		if len(m.adj[v])%2 != 0 {
-			return nil, fmt.Errorf("euler: vertex %d has odd degree %d", v, len(m.adj[v]))
-		}
-	}
-	return m.walk(start)
-}
-
 // Trail returns an Eulerian trail from s to t (s ≠ t); s and t must be the
 // only odd-degree vertices.
 func (m *Multigraph) Trail(s, t int) ([]int, error) {
@@ -63,19 +52,10 @@ func (m *Multigraph) Trail(s, t int) ([]int, error) {
 			return nil, fmt.Errorf("euler: vertex %d parity inconsistent with trail %d→%d", v, s, t)
 		}
 	}
-	// Standard trick: add a virtual edge {s,t}; find circuit; rotate and
-	// remove. Simpler: run Hierholzer from s; with exactly two odd vertices
-	// the iterative algorithm naturally ends at t.
-	return m.walk(s)
-}
-
-// walk runs iterative Hierholzer from start and verifies all edges used.
-func (m *Multigraph) walk(start int) ([]int, error) {
-	if m.EdgeCount() == 0 {
-		return []int{start}, nil
-	}
+	// With exactly two odd vertices, iterative Hierholzer started at s
+	// naturally ends at t.
 	iter := make([]int, m.n) // per-vertex adjacency cursor
-	stack := []int32{int32(start)}
+	stack := []int32{int32(s)}
 	var out []int
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -100,7 +80,7 @@ func (m *Multigraph) walk(start int) ([]int, error) {
 		return nil, fmt.Errorf("euler: edges not connected (walk covers %d of %d edges)",
 			len(out)-1, m.EdgeCount())
 	}
-	// Reverse for the natural start-first orientation.
+	// Reverse for the natural s-first orientation.
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 		out[i], out[j] = out[j], out[i]
 	}

@@ -1,6 +1,7 @@
 package euler
 
 import (
+	"slices"
 	"testing"
 
 	"lpltsp/internal/rng"
@@ -16,49 +17,46 @@ func checkWalk(t *testing.T, m *Multigraph, walk []int, start int, wantEdges int
 	}
 }
 
-func TestCircuitTriangle(t *testing.T) {
-	m := NewMultigraph(3)
+// TestTrailThroughTriangle: from the pendant vertex 3 the trail must
+// splice the triangle 0-1-2 in before it ends at 0.
+func TestTrailThroughTriangle(t *testing.T) {
+	m := NewMultigraph(4)
 	m.AddEdge(0, 1)
 	m.AddEdge(1, 2)
 	m.AddEdge(2, 0)
-	walk, err := m.Circuit(0)
+	m.AddEdge(0, 3)
+	walk, err := m.Trail(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWalk(t, m, walk, 3, 4)
+	if walk[len(walk)-1] != 0 {
+		t.Fatalf("trail ends at %d, want 0", walk[len(walk)-1])
+	}
+}
+
+func TestTrailWithParallelEdges(t *testing.T) {
+	m := NewMultigraph(2)
+	m.AddEdge(0, 1)
+	m.AddEdge(0, 1) // parallel
+	m.AddEdge(0, 1) // parallel
+	walk, err := m.Trail(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkWalk(t, m, walk, 0, 3)
-	if walk[len(walk)-1] != 0 {
-		t.Fatal("circuit must return to start")
+	if want := []int{0, 1, 0, 1}; !slices.Equal(walk, want) {
+		t.Fatalf("walk %v, want %v", walk, want)
 	}
 }
 
-func TestCircuitWithParallelEdges(t *testing.T) {
-	m := NewMultigraph(2)
+func TestTrailDisconnectedFails(t *testing.T) {
+	m := NewMultigraph(5)
 	m.AddEdge(0, 1)
-	m.AddEdge(0, 1) // parallel
-	walk, err := m.Circuit(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWalk(t, m, walk, 0, 2)
-}
-
-func TestCircuitOddDegreeFails(t *testing.T) {
-	m := NewMultigraph(2)
-	m.AddEdge(0, 1)
-	if _, err := m.Circuit(0); err == nil {
-		t.Fatal("odd degrees must fail")
-	}
-}
-
-func TestCircuitDisconnectedFails(t *testing.T) {
-	m := NewMultigraph(6)
-	m.AddEdge(0, 1)
-	m.AddEdge(1, 2)
-	m.AddEdge(2, 0)
+	m.AddEdge(2, 3)
 	m.AddEdge(3, 4)
-	m.AddEdge(4, 5)
-	m.AddEdge(5, 3)
-	if _, err := m.Circuit(0); err == nil {
+	m.AddEdge(4, 2)
+	if _, err := m.Trail(0, 1); err == nil {
 		t.Fatal("disconnected edge set must fail")
 	}
 }
@@ -91,38 +89,41 @@ func TestTrailParityChecks(t *testing.T) {
 	}
 }
 
-// TestRandomEulerian builds random even-degree connected multigraphs and
-// verifies every edge is used exactly once.
+// TestRandomEulerian builds random connected multigraphs with exactly two
+// odd-degree vertices and verifies the trail joins them and uses every
+// edge exactly once.
 func TestRandomEulerian(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + r.Intn(10)
 		m := NewMultigraph(n)
 		// Union of random closed walks → all degrees even, connected
-		// through vertex 0.
+		// through vertex 0; one more edge {0,end} makes 0 and end the
+		// two odd vertices.
 		for w := 0; w < 3; w++ {
 			prev := 0
 			steps := 2 + r.Intn(5)
-			walk := []int{0}
 			for s := 0; s < steps; s++ {
 				nxt := r.Intn(n)
 				for nxt == prev {
 					nxt = r.Intn(n)
 				}
 				m.AddEdge(prev, nxt)
-				walk = append(walk, nxt)
 				prev = nxt
 			}
 			if prev != 0 {
 				m.AddEdge(prev, 0)
 			}
 		}
-		walk, err := m.Circuit(0)
+		end := 1 + r.Intn(n-1)
+		m.AddEdge(0, end)
+		walk, err := m.Trail(0, end)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if len(walk) != m.EdgeCount()+1 {
-			t.Fatalf("trial %d: walk misses edges", trial)
+		checkWalk(t, m, walk, 0, m.EdgeCount())
+		if walk[len(walk)-1] != end {
+			t.Fatalf("trial %d: trail ends at %d, want %d", trial, walk[len(walk)-1], end)
 		}
 		// Every consecutive pair must be a real edge; count multiplicity.
 		type pair [2]int
@@ -156,10 +157,16 @@ func TestSelfLoopPanics(t *testing.T) {
 	NewMultigraph(2).AddEdge(1, 1)
 }
 
+// TestEmptyWalk: an edgeless multigraph has no trail between two
+// vertices (both have even degree 0), and one edge is the shortest trail.
 func TestEmptyWalk(t *testing.T) {
-	m := NewMultigraph(1)
-	walk, err := m.Circuit(0)
-	if err != nil || len(walk) != 1 || walk[0] != 0 {
-		t.Fatalf("empty circuit: %v %v", walk, err)
+	m := NewMultigraph(2)
+	if walk, err := m.Trail(0, 1); err == nil {
+		t.Fatalf("edgeless trail: %v", walk)
+	}
+	m.AddEdge(0, 1)
+	walk, err := m.Trail(1, 0)
+	if err != nil || !slices.Equal(walk, []int{1, 0}) {
+		t.Fatalf("one-edge trail: %v %v", walk, err)
 	}
 }

@@ -197,6 +197,18 @@ func bruteMaxCard(n int, edges []Edge) (card int, w int64) {
 	return card, w
 }
 
+// completeEdges lists every edge {i,j}, i < j, of the complete graph on n
+// vertices with weight w(i,j).
+func completeEdges(n int, w func(i, j int) int64) []Edge {
+	edges := make([]Edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, Edge{i, j, w(i, j)})
+		}
+	}
+	return edges
+}
+
 func TestMinWeightPerfectVsBruteForce(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 300; trial++ {
@@ -212,7 +224,7 @@ func TestMinWeightPerfectVsBruteForce(t *testing.T) {
 			}
 		}
 		wf := func(i, j int) int64 { return w[i][j] }
-		mate, total, err := MinWeightPerfect(n, wf)
+		mate, total, err := MinWeightPerfectSparse(n, completeEdges(n, wf))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -248,7 +260,7 @@ func TestMinWeightPerfectMetric(t *testing.T) {
 			}
 		}
 		wf := func(i, j int) int64 { return w[i][j] }
-		_, total, err := MinWeightPerfect(n, wf)
+		_, total, err := MinWeightPerfectSparse(n, completeEdges(n, wf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +272,7 @@ func TestMinWeightPerfectMetric(t *testing.T) {
 }
 
 func TestMinWeightPerfectOddN(t *testing.T) {
-	if _, _, err := MinWeightPerfect(3, func(i, j int) int64 { return 1 }); err == nil {
+	if _, _, err := MinWeightPerfectSparse(3, completeEdges(3, func(i, j int) int64 { return 1 })); err == nil {
 		t.Fatal("expected error for odd n")
 	}
 }

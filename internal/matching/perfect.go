@@ -2,38 +2,39 @@ package matching
 
 import "fmt"
 
-// MinWeightPerfect computes a minimum-weight perfect matching of the
-// complete graph on n vertices (n even) with weights w(i,j) ≥ 0. It returns
-// mate[v] = partner of v and the total weight.
+// MinWeightPerfectSparse computes a minimum-weight perfect matching over an
+// explicit edge list (the graph need not be complete) with weights ≥ 0. It
+// returns mate[v] = partner of v and the total weight, and errors on odd
+// n, a negative weight, or when no perfect matching exists; n = 0 yields a
+// nil mate.
 //
 // Implementation: maximum-weight maximum-cardinality matching on the
-// complement weights C − w (C = max weight); since every perfect matching
-// of K_n has exactly n/2 edges, maximizing Σ(C−w) minimizes Σw, and
-// max-cardinality mode guarantees the matching is perfect.
-func MinWeightPerfect(n int, w func(i, j int) int64) (mate []int, total int64, err error) {
-	edges := make([]Edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, Edge{i, j, w(i, j)})
-		}
-	}
-	if mate, err = minPerfect(n, edges); err != nil {
-		return nil, 0, err
-	}
-	for v, u := range mate {
-		if v < u {
-			total += w(v, u)
-		}
-	}
-	return mate, total, nil
-}
-
-// MinWeightPerfectSparse computes a minimum-weight perfect matching over an
-// explicit edge list (the graph need not be complete). Returns an error if
-// no perfect matching exists.
+// complement weights maxW − w (maxW = largest weight). Max-cardinality
+// mode prefers perfect matchings, and since every perfect matching has
+// exactly n/2 edges, maximizing Σ(maxW − w) among them minimizes Σw.
 func MinWeightPerfectSparse(n int, edges []Edge) (mate []int, total int64, err error) {
-	if mate, err = minPerfect(n, append([]Edge(nil), edges...)); err != nil {
-		return nil, 0, err
+	if n%2 != 0 {
+		return nil, 0, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
+	}
+	if n == 0 {
+		return nil, 0, nil
+	}
+	var maxW int64
+	for _, e := range edges {
+		if e.W < 0 {
+			return nil, 0, fmt.Errorf("matching: negative weight w(%d,%d)=%d", e.I, e.J, e.W)
+		}
+		maxW = max(maxW, e.W)
+	}
+	comp := make([]Edge, len(edges))
+	for k, e := range edges {
+		comp[k] = Edge{e.I, e.J, maxW - e.W}
+	}
+	mate = MaxWeightMatching(n, comp, true)
+	for v, u := range mate {
+		if u < 0 {
+			return nil, 0, fmt.Errorf("matching: no perfect matching exists (vertex %d unmatched)", v)
+		}
 	}
 	wOf := make(map[[2]int]int64, len(edges))
 	for _, e := range edges {
@@ -51,38 +52,6 @@ func MinWeightPerfectSparse(n int, edges []Edge) (mate []int, total int64, err e
 		}
 	}
 	return mate, total, nil
-}
-
-// minPerfect is the weight transform both entry points share. It rejects
-// odd n and negative weights, then rewrites every weight w in place to
-// maxW − w, so that maximum-weight maximum-cardinality matching prefers
-// perfect matchings and, among them, minimizes the original weight. It
-// errors when the result leaves a vertex unmatched; n = 0 yields a nil
-// mate.
-func minPerfect(n int, edges []Edge) ([]int, error) {
-	if n%2 != 0 {
-		return nil, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	var maxW int64
-	for _, e := range edges {
-		if e.W < 0 {
-			return nil, fmt.Errorf("matching: negative weight w(%d,%d)=%d", e.I, e.J, e.W)
-		}
-		maxW = max(maxW, e.W)
-	}
-	for k := range edges {
-		edges[k].W = maxW - edges[k].W
-	}
-	mate := MaxWeightMatching(n, edges, true)
-	for v, u := range mate {
-		if u < 0 {
-			return nil, fmt.Errorf("matching: no perfect matching exists (vertex %d unmatched)", v)
-		}
-	}
-	return mate, nil
 }
 
 // BruteForceMinPerfect computes a minimum-weight perfect matching by

@@ -3,9 +3,7 @@ package tsp
 import (
 	"fmt"
 
-	"lpltsp/internal/euler"
 	"lpltsp/internal/matching"
-	"lpltsp/internal/mst"
 )
 
 // ChristofidesPathGreedyMatching is the ablation variant of
@@ -18,20 +16,7 @@ func ChristofidesPathGreedyMatching(ins *Instance) (Tour, int64, error) {
 	if n <= 2 {
 		return identity(n), ins.PathCost(identity(n)), nil
 	}
-	parent, _ := mst.PrimDense(n, func(i, j int) int64 { return ins.Weight(i, j) })
-	deg := make([]int, n)
-	mg := euler.NewMultigraph(n)
-	for v := 1; v < n; v++ {
-		mg.AddEdge(v, parent[v])
-		deg[v]++
-		deg[parent[v]]++
-	}
-	var odd []int
-	for v := 0; v < n; v++ {
-		if deg[v]%2 == 1 {
-			odd = append(odd, v)
-		}
-	}
+	mg, odd := mstOdd(ins)
 	// Greedy near-perfect matching on the odd vertices, leaving the two
 	// most expensive-to-match vertices unmatched: greedily match all but
 	// the final pair, then drop the last (most expensive) pair.

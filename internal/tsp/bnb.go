@@ -12,36 +12,24 @@ import (
 // impractical without stronger bounding machinery.
 const BnBMaxN = 36
 
-// BranchAndBoundPath solves PATH TSP with free endpoints exactly by
+// branchAndBoundPath solves PATH TSP with free endpoints exactly by
 // depth-first branch and bound. The lower bound for a partial path is its
 // cost plus an MST over the unvisited vertices together with the cheapest
 // connection from the current endpoint; the initial upper bound comes from
-// the chained heuristic. It extends the exact range past Held–Karp's
-// memory limit (n ≤ BnBMaxN instead of n ≤ HeldKarpMaxN).
-func BranchAndBoundPath(ins *Instance) (Tour, int64, error) {
-	t, st, err := branchAndBoundPath(context.Background(), ins, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, st.Cost, nil
-}
-
-// BranchAndBoundPathContext is the anytime form of BranchAndBoundPath: when
-// ctx is cancelled mid-search it stops promptly and returns the incumbent
-// tour (initially the chained-heuristic warm start) with Stats.Truncated
-// set instead of erroring. Stats.Optimal is set only when the search tree
-// was exhausted.
-func BranchAndBoundPathContext(ctx context.Context, ins *Instance) (Tour, Stats, error) {
-	return branchAndBoundPath(ctx, ins, nil)
-}
-
+// the chained heuristic (warm tunes it). It extends the exact range past
+// Held–Karp's memory limit (n ≤ BnBMaxN instead of n ≤ HeldKarpMaxN).
+//
+// The search is anytime: when ctx is cancelled mid-search it stops
+// promptly and returns the incumbent tour (initially the warm start) with
+// Stats.Truncated set instead of erroring. Stats.Optimal is set only when
+// the search tree was exhausted.
 func branchAndBoundPath(ctx context.Context, ins *Instance, warm *ChainedOptions) (Tour, Stats, error) {
 	n := ins.n
 	if n > BnBMaxN {
 		return nil, Stats{}, fmt.Errorf("tsp: branch and bound limited to n <= %d, got %d", BnBMaxN, n)
 	}
 	if n <= 3 {
-		t, c, err := heldKarp(ctx, ins, -1, -1, false)
+		t, c, err := heldKarp(ctx, ins)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Honor the anytime contract even here: any permutation
@@ -100,9 +88,9 @@ type bnbState struct {
 	stopped bool
 
 	// Pooled per-node scratch: one branching-order slab per search depth,
-	// a class-counting buffer for compact instances, the lower bound's
-	// vertex list, and Prim's working arrays. These make the search tree
-	// allocation-free (the dominant engine cost past Held–Karp sizes).
+	// a class-counting buffer, the lower bound's vertex list, and Prim's
+	// working arrays. These make the search tree allocation-free (the
+	// dominant engine cost past Held–Karp sizes).
 	orderBuf []int32
 	cnt      []int32
 	rest     []int
@@ -163,50 +151,33 @@ func (s *bnbState) dfs(last int, cost int64) {
 	if cost+s.lowerBound(last) >= s.bestC {
 		return
 	}
-	// Branch on unvisited vertices in increasing edge-weight order, using
-	// one pooled order slab per depth (the recursion below reuses deeper
-	// slabs). Compact instances order by a counting pass over the weight
-	// classes; dense ones insertion-sort (lists are small near leaves).
-	// Both produce the same (weight, index) order.
+	// Branch on unvisited vertices in (weight, index) order by a counting
+	// pass over the weight classes, using one pooled order slab per depth
+	// (the recursion below reuses deeper slabs).
 	depth := len(s.cur)
-	order := s.orderBuf[depth*n : depth*n : (depth+1)*n]
-	if drow := s.ins.distRow(last); drow != nil {
-		classOf := s.ins.classOf
-		classes := len(s.ins.classW)
-		if cap(s.cnt) < classes+1 {
-			s.cnt = make([]int32, classes+1)
+	order := s.orderBuf[depth*n : (depth+1)*n-depth]
+	drow, classOf := s.ins.distRow(last), s.ins.classOf
+	classes := len(s.ins.classW)
+	if cap(s.cnt) < classes+1 {
+		s.cnt = make([]int32, classes+1)
+	}
+	cnt := s.cnt[:classes+1]
+	for c := range cnt {
+		cnt[c] = 0
+	}
+	for v := 0; v < n; v++ {
+		if !s.used[v] {
+			cnt[classOf[drow[v]]+1]++
 		}
-		cnt := s.cnt[:classes+1]
-		for c := range cnt {
-			cnt[c] = 0
-		}
-		for v := 0; v < n; v++ {
-			if !s.used[v] {
-				cnt[classOf[drow[v]]+1]++
-			}
-		}
-		for c := 2; c < len(cnt); c++ {
-			cnt[c] += cnt[c-1]
-		}
-		order = order[:n-depth]
-		for v := 0; v < n; v++ {
-			if !s.used[v] {
-				c := classOf[drow[v]]
-				order[cnt[c]] = int32(v)
-				cnt[c]++
-			}
-		}
-	} else {
-		row := s.ins.Row(last)
-		for v := 0; v < n; v++ {
-			if !s.used[v] {
-				order = append(order, int32(v))
-			}
-		}
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && row[order[j]] < row[order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
+	}
+	for c := 2; c < len(cnt); c++ {
+		cnt[c] += cnt[c-1]
+	}
+	for v := 0; v < n; v++ {
+		if !s.used[v] {
+			c := classOf[drow[v]]
+			order[cnt[c]] = int32(v)
+			cnt[c]++
 		}
 	}
 	for _, v32 := range order {

@@ -9,47 +9,6 @@ import (
 	"lpltsp/internal/mst"
 )
 
-// ChristofidesCycle computes a Hamiltonian cycle by the classical
-// Christofides pipeline: MST → minimum-weight perfect matching on the
-// odd-degree vertices → Eulerian circuit → shortcut. On metric instances
-// the result is at most 1.5× the optimal cycle.
-func ChristofidesCycle(ins *Instance) (Tour, int64, error) {
-	return christofidesCycle(context.Background(), ins)
-}
-
-func christofidesCycle(ctx context.Context, ins *Instance) (Tour, int64, error) {
-	n := ins.n
-	if n <= 2 {
-		return identity(n), ins.CycleCost(identity(n)), nil
-	}
-	if canceled(ctx) {
-		return nil, 0, ctx.Err()
-	}
-	mg, odd := mstOdd(ins)
-	if len(odd) > 0 {
-		if canceled(ctx) {
-			return nil, 0, ctx.Err()
-		}
-		mate, _, err := matching.MinWeightPerfect(len(odd), func(i, j int) int64 {
-			return ins.Weight(odd[i], odd[j])
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("tsp: christofides matching: %w", err)
-		}
-		for i, j := range mate {
-			if i < j {
-				mg.AddEdge(odd[i], odd[j])
-			}
-		}
-	}
-	walk, err := mg.Circuit(0)
-	if err != nil {
-		return nil, 0, fmt.Errorf("tsp: christofides euler: %w", err)
-	}
-	tour := shortcut(walk, n)
-	return tour, ins.CycleCost(tour), nil
-}
-
 // ChristofidesPath computes a Hamiltonian path with free endpoints by the
 // Hoogeveen variant of Christofides: build an MST T, then find a
 // minimum-weight matching on the odd-degree vertices of T that leaves
@@ -124,10 +83,10 @@ func christofidesPath(ctx context.Context, ins *Instance) (Tour, int64, error) {
 	return tour, ins.PathCost(tour), nil
 }
 
-// mstOdd is the prelude both Christofides variants share: a minimum
-// spanning tree loaded into a fresh multigraph, and the tree's
-// odd-degree vertices in increasing order — the vertices the matching
-// stage must pair up.
+// mstOdd is the prelude ChristofidesPath and its greedy-matching ablation
+// share: a minimum spanning tree loaded into a fresh multigraph, and the
+// tree's odd-degree vertices in increasing order — the vertices the
+// matching stage must pair up.
 func mstOdd(ins *Instance) (*euler.Multigraph, []int) {
 	n := ins.n
 	parent, _ := mst.PrimDense(n, func(i, j int) int64 { return ins.Weight(i, j) })

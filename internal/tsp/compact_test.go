@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -9,10 +10,51 @@ import (
 	"lpltsp/internal/rng"
 )
 
-// classInstancePair builds a compact weight-class instance from a random
-// small-diameter graph's distance matrix together with its densified twin.
-// classWeights deliberately contains duplicates so weight classes collapse.
-func classInstancePair(r *rng.RNG, n, k int) (*Instance, *Instance) {
+// denseWeights is the test-side oracle of an instance's weights: the full
+// n×n matrix of the weight function the instance was built from, computed
+// without it.
+type denseWeights [][]int64
+
+func (w denseWeights) pathCost(t Tour) int64 {
+	var c int64
+	for i := 0; i+1 < len(t); i++ {
+		c += w[t[i]][t[i+1]]
+	}
+	return c
+}
+
+// minMax scans the upper triangle.
+func (w denseWeights) minMax() (lo, hi int64) {
+	if len(w) < 2 {
+		return 0, 0
+	}
+	lo = w[0][1]
+	for i := range w {
+		for j := i + 1; j < len(w); j++ {
+			lo, hi = min(lo, w[i][j]), max(hi, w[i][j])
+		}
+	}
+	return lo, hi
+}
+
+// neighbors lists every vertex but v sorted by (weight, index), cut to kk
+// (at most n−1).
+func (w denseWeights) neighbors(v, kk int) []int32 {
+	var out []int32
+	for u := range w {
+		if u != v {
+			out = append(out, int32(u))
+		}
+	}
+	slices.SortStableFunc(out, func(a, b int32) int { return cmp.Compare(w[v][a], w[v][b]) })
+	return out[:min(kk, len(out))]
+}
+
+// classInstancePair builds an instance from a random small-diameter
+// graph's distance matrix together with its oracle: the class weights
+// over the graph's BFS distances. classWeights deliberately contains
+// duplicates so weight classes collapse.
+func classInstancePair(r *rng.RNG, n, k int) (*Instance, denseWeights) {
 	g := graph.RandomSmallDiameter(r, n, k, 0.3)
 	dm := g.AllPairsDistances()
 	diam, disc := dm.Max()
@@ -25,8 +67,16 @@ func classInstancePair(r *rng.RNG, n, k int) (*Instance, *Instance) {
 	for i := range classWeights {
 		classWeights[i] = pmin + int64(r.Intn(2)) // duplicates likely
 	}
-	compact := NewClassInstance(n, dm.Data(), diam, classWeights)
-	return compact, compact.Densify()
+	oracle := make(denseWeights, n)
+	for i := range oracle {
+		oracle[i] = make([]int64, n)
+		for j := range oracle[i] {
+			if i != j {
+				oracle[i][j] = classWeights[dm.Dist(i, j)-1]
+			}
+		}
+	}
+	return NewClassInstance(n, dm.Data(), diam, classWeights), oracle
 }
 
 func TestClassInstanceAgreesWithDense(t *testing.T) {
@@ -34,50 +84,59 @@ func TestClassInstanceAgreesWithDense(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + r.Intn(30)
 		k := 2 + r.Intn(3)
-		compact, dense := classInstancePair(r, n, k)
-		if !compact.Compact() || dense.Compact() {
-			t.Fatal("backing flags wrong")
-		}
-		if compact.Classes() == 0 || compact.Classes() > k {
-			t.Fatalf("Classes() = %d with k = %d", compact.Classes(), k)
+		ins, dense := classInstancePair(r, n, k)
+		if ins.Classes() == 0 || ins.Classes() > k {
+			t.Fatalf("Classes() = %d with k = %d", ins.Classes(), k)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if compact.Weight(i, j) != dense.Weight(i, j) {
-					t.Fatalf("Weight(%d,%d): compact %d dense %d", i, j, compact.Weight(i, j), dense.Weight(i, j))
+				if ins.Weight(i, j) != dense[i][j] {
+					t.Fatalf("Weight(%d,%d): instance %d oracle %d", i, j, ins.Weight(i, j), dense[i][j])
 				}
 			}
 		}
-		cmin, cmax := compact.MinMaxWeight()
-		dmin, dmax := dense.MinMaxWeight()
+		cmin, cmax := ins.MinMaxWeight()
+		dmin, dmax := dense.minMax()
 		if cmin != dmin || cmax != dmax {
-			t.Fatalf("MinMaxWeight: compact (%d,%d) dense (%d,%d)", cmin, cmax, dmin, dmax)
+			t.Fatalf("MinMaxWeight: instance (%d,%d) oracle (%d,%d)", cmin, cmax, dmin, dmax)
 		}
 		for rep := 0; rep < 5; rep++ {
 			tour := Tour(r.Perm(n))
-			if compact.PathCost(tour) != dense.PathCost(tour) {
+			if ins.PathCost(tour) != dense.pathCost(tour) {
 				t.Fatalf("PathCost differs on %v", tour)
-			}
-			if compact.CycleCost(tour) != dense.CycleCost(tour) {
-				t.Fatalf("CycleCost differs on %v", tour)
 			}
 		}
 	}
 }
 
+// TestClassInstanceImmutable: an instance copies the class weights it is
+// given, and no engine writes through the distance matrix it shares.
 func TestClassInstanceImmutable(t *testing.T) {
 	r := rng.New(302)
-	compact, _ := classInstancePair(r, 6, 2)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s on compact instance did not panic", name)
-			}
-		}()
-		f()
+	g := graph.RandomSmallDiameter(r, 12, 3, 0.3)
+	dm := g.AllPairsDistances()
+	diam, _ := dm.Max()
+	cw := []int64{2, 2, 1}
+	ins := NewClassInstance(12, dm.Data(), diam, cw)
+	want := make([]int64, 144)
+	for i := range want {
+		want[i] = ins.Weight(i/12, i%12)
 	}
-	mustPanic("SetWeight", func() { compact.SetWeight(0, 1, 9) })
-	mustPanic("Row", func() { compact.Row(0) })
+	matrix := slices.Clone(dm.Data())
+	cw[0], cw[1], cw[2] = 9, 9, 9
+	for _, algo := range Algorithms() {
+		if _, _, err := Solve(ins, algo, nil); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if !slices.Equal(dm.Data(), matrix) {
+			t.Fatalf("%s wrote to the shared distance matrix", algo)
+		}
+	}
+	for i, w := range want {
+		if got := ins.Weight(i/12, i%12); got != w {
+			t.Fatalf("Weight(%d,%d) = %d after the caller's weights changed, want %d", i/12, i%12, got, w)
+		}
+	}
 }
 
 // TestNewClassInstanceRejectsBadMatrices pins the constructor's O(1)
@@ -138,25 +197,33 @@ func TestHeldKarpLargeDistanceValues(t *testing.T) {
 	}
 }
 
-// TestNearestNeighborsCompactMatchesDense asserts the bucket-based compact
-// neighbor lists are exactly the dense (weight, index)-sorted lists.
+// nearestNeighbors is the slice-of-slices form of nearestNeighborsInto (it
+// copies out of the pooled scratch), clamping k to [0, n-1].
+func nearestNeighbors(ins *Instance, k int) [][]int32 {
+	n := ins.n
+	kk := max(min(k, n-1), 0)
+	sc := getTwoOptScratch(n, kk, ins.Classes())
+	defer putTwoOptScratch(sc)
+	flat := nearestNeighborsInto(ins, kk, sc)
+	out := make([][]int32, n)
+	for v := range out {
+		out[v] = append([]int32(nil), flat[v*kk:(v+1)*kk]...)
+	}
+	return out
+}
+
+// TestNearestNeighborsCompactMatchesDense asserts the bucket-based neighbor
+// lists are exactly the oracle's (weight, index)-sorted lists.
 func TestNearestNeighborsCompactMatchesDense(t *testing.T) {
 	r := rng.New(303)
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + r.Intn(40)
 		k := 2 + r.Intn(4)
-		compact, dense := classInstancePair(r, n, k)
+		ins, dense := classInstancePair(r, n, k)
 		for _, kk := range []int{1, 3, 8, n - 1} {
-			nc := nearestNeighbors(compact, kk)
-			nd := nearestNeighbors(dense, kk)
-			for v := range nc {
-				if len(nc[v]) != len(nd[v]) {
-					t.Fatalf("k=%d vertex %d: lengths %d vs %d", kk, v, len(nc[v]), len(nd[v]))
-				}
-				for i := range nc[v] {
-					if nc[v][i] != nd[v][i] {
-						t.Fatalf("k=%d vertex %d: compact %v dense %v", kk, v, nc[v], nd[v])
-					}
+			for v, got := range nearestNeighbors(ins, kk) {
+				if want := dense.neighbors(v, kk); !slices.Equal(got, want) {
+					t.Fatalf("k=%d vertex %d: got %v, oracle %v", kk, v, got, want)
 				}
 			}
 		}
@@ -164,36 +231,33 @@ func TestNearestNeighborsCompactMatchesDense(t *testing.T) {
 }
 
 // TestNearestNeighborsZeroK pins the k ≤ 0 edge case: empty lists, no
-// panic, on both representations.
+// panic.
 func TestNearestNeighborsZeroK(t *testing.T) {
 	r := rng.New(306)
-	compact, dense := classInstancePair(r, 6, 2)
-	for _, ins := range []*Instance{compact, dense} {
-		for _, k := range []int{0, -3} {
-			nb := nearestNeighbors(ins, k)
-			for v, list := range nb {
-				if len(list) != 0 {
-					t.Fatalf("k=%d vertex %d: got %d neighbors, want 0", k, v, len(list))
-				}
+	ins, _ := classInstancePair(r, 6, 2)
+	for _, k := range []int{0, -3} {
+		nb := nearestNeighbors(ins, k)
+		for v, list := range nb {
+			if len(list) != 0 {
+				t.Fatalf("k=%d vertex %d: got %d neighbors, want 0", k, v, len(list))
 			}
 		}
 	}
 }
 
 // TestGreedyEdgePathMSTMatchesPrim: the Kruskal weight taken inside the
-// greedy sweep equals Prim's MST weight, on compact instances (one pass
-// per weight class) and on dense ones with arbitrary weights (comparison
-// sort), and the sweep's path is GreedyEdgePath's.
+// greedy sweep equals Prim's MST weight, on graph-built instances and on
+// arbitrary-weight ones, and the sweep's path is GreedyEdgePath's.
 func TestGreedyEdgePathMSTMatchesPrim(t *testing.T) {
 	r := rng.New(305)
 	var prim mst.PrimScratch
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + r.Intn(60)
-		compact, _ := classInstancePair(r, n, 2+r.Intn(4))
-		for _, ins := range []*Instance{compact, randomInstance(r, n, 1+r.Intn(50))} {
+		graphBuilt, _ := classInstancePair(r, n, 2+r.Intn(4))
+		for _, ins := range []*Instance{graphBuilt, randomInstance(r, n, 1+r.Intn(50))} {
 			tour, got := GreedyEdgePathMST(ins)
 			if want := prim.Total(n, ins.Weight); got != want {
-				t.Fatalf("trial %d n=%d compact=%v: Kruskal %d, Prim %d", trial, n, ins.Compact(), got, want)
+				t.Fatalf("trial %d n=%d classes=%d: Kruskal %d, Prim %d", trial, n, ins.Classes(), got, want)
 			}
 			if !slices.Equal(tour, GreedyEdgePath(ins)) {
 				t.Fatalf("trial %d n=%d: the sweep's path differs from GreedyEdgePath", trial, n)
@@ -202,52 +266,59 @@ func TestGreedyEdgePathMSTMatchesPrim(t *testing.T) {
 	}
 }
 
-// TestGreedyEdgeCompactMatchesDense asserts the per-class compact sweep
-// visits edges in the same canonical (weight, u, v) order as the dense
-// comparison sort, and therefore builds the identical path.
+// TestGreedyEdgeCompactMatchesDense asserts the per-class sweep visits
+// edges in the canonical (weight, u, v) order of the counting-sort oracle,
+// and therefore builds the identical path.
 func TestGreedyEdgeCompactMatchesDense(t *testing.T) {
 	r := rng.New(304)
 	for trial := 0; trial < 20; trial++ {
 		n := 4 + r.Intn(40)
 		k := 2 + r.Intn(4)
-		compact, dense := classInstancePair(r, n, k)
-		tc := GreedyEdgePath(compact)
-		td := GreedyEdgePath(dense)
-		if err := compact.ValidateTour(tc); err != nil {
+		ins, _ := classInstancePair(r, n, k)
+		got := GreedyEdgePath(ins)
+		if err := ins.ValidateTour(got); err != nil {
 			t.Fatal(err)
 		}
-		for i := range tc {
-			if tc[i] != td[i] {
-				t.Fatalf("tours differ: compact %v dense %v", tc, td)
-			}
+		if want, _ := countingSortSweep(ins); !slices.Equal(got, want) {
+			t.Fatalf("tours differ: sweep %v oracle %v", got, want)
 		}
 	}
 }
 
-// TestEnginesCompactMatchesDense runs the deterministic engine family on
-// both representations and demands identical tours.
+// TestEnginesCompactMatchesDense runs the deterministic engine family and
+// checks each against the oracle: the reported cost is the tour's cost
+// under the oracle weights, no engine beats the optimum (brute force over
+// the oracle up to 9 vertices, Held–Karp beyond), Held–Karp meets it, and
+// a repeat solve returns the identical tour.
 func TestEnginesCompactMatchesDense(t *testing.T) {
 	r := rng.New(305)
 	deterministic := []Algorithm{AlgoGreedyEdge, AlgoTwoOpt, AlgoThreeOpt, AlgoChristofides, AlgoHeldKarp}
 	for trial := 0; trial < 8; trial++ {
 		n := 5 + r.Intn(10)
-		compact, dense := classInstancePair(r, n, 2+r.Intn(2))
+		ins, dense := classInstancePair(r, n, 2+r.Intn(2))
+		opt := int64(-1)
+		if n <= 9 {
+			opt = brutePath(n, dense.pathCost)
+		} else if _, hk, err := HeldKarpPath(ins); err == nil {
+			opt = hk
+		}
 		for _, algo := range deterministic {
-			tc, cc, err := Solve(compact, algo, nil)
+			tour, cost, err := Solve(ins, algo, nil)
 			if err != nil {
-				t.Fatalf("%s compact: %v", algo, err)
+				t.Fatalf("%s: %v", algo, err)
 			}
-			td, cd, err := Solve(dense, algo, nil)
-			if err != nil {
-				t.Fatalf("%s dense: %v", algo, err)
+			if err := ins.ValidateTour(tour); err != nil {
+				t.Fatalf("%s: %v", algo, err)
 			}
-			if cc != cd {
-				t.Fatalf("%s: compact cost %d dense cost %d", algo, cc, cd)
+			if want := dense.pathCost(tour); cost != want {
+				t.Fatalf("%s: cost %d, oracle prices the tour at %d", algo, cost, want)
 			}
-			for i := range tc {
-				if tc[i] != td[i] {
-					t.Fatalf("%s: tours differ: %v vs %v", algo, tc, td)
-				}
+			if opt < 0 || cost < opt || (algo == AlgoHeldKarp && cost != opt) {
+				t.Fatalf("%s: cost %d against optimum %d", algo, cost, opt)
+			}
+			again, _, _ := Solve(ins, algo, nil)
+			if !slices.Equal(tour, again) {
+				t.Fatalf("%s: tours differ: %v vs %v", algo, tour, again)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package tsp
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -28,22 +27,12 @@ func nearestNeighborInto(ins *Instance, start int, tour Tour, visited []bool) {
 	cur := start
 	visited[cur] = true
 	tour[0] = cur
-	compact := ins.Compact()
+	lut := ins.lut
 	for idx := 1; idx < n; idx++ {
 		best, bestW := -1, int64(0)
-		if compact {
-			drow, lut := ins.distRow(cur), ins.lut
-			for v, d := range drow {
-				if !visited[v] {
-					if w := lut[d]; best == -1 || w < bestW {
-						best, bestW = v, w
-					}
-				}
-			}
-		} else {
-			row := ins.Row(cur)
-			for v, w := range row {
-				if !visited[v] && (best == -1 || w < bestW) {
+		for v, d := range ins.distRow(cur) {
+			if !visited[v] {
+				if w := lut[d]; best == -1 || w < bestW {
 					best, bestW = v, w
 				}
 			}
@@ -54,19 +43,15 @@ func nearestNeighborInto(ins *Instance, start int, tour Tour, visited []bool) {
 	}
 }
 
-// NearestNeighborBest runs NearestNeighborFrom from every start vertex in
-// parallel and returns the cheapest resulting path.
-func NearestNeighborBest(ins *Instance) (Tour, int64) {
-	t, c, _ := nearestNeighborBest(context.Background(), ins)
-	return t, c
-}
-
-// nearestNeighborBest is NearestNeighborBest with a cancellation
-// checkpoint between start vertices; at least one start is always
-// completed, so a valid tour comes back even under an expired context. It
-// additionally reports how many starts completed. Start vertices are
-// claimed with one atomic add per start (no mutex), and each worker reuses
-// a single tour/visited buffer pair across all its starts.
+// nearestNeighborBest runs NearestNeighborFrom from every start vertex in
+// parallel and returns the cheapest resulting path, the one from the
+// lowest start among equal costs, so the tour does not depend on which
+// worker finished first. A cancellation checkpoint sits between start
+// vertices; at least one start is always completed, so a valid tour comes
+// back even under an expired context. It additionally reports how many
+// starts completed. Start vertices are claimed with one atomic add per
+// start (no mutex), and each worker reuses a single tour/visited buffer
+// pair across all its starts.
 func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64) {
 	n := ins.n
 	if n == 0 {
@@ -77,8 +62,9 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 		workers = n
 	}
 	type result struct {
-		tour Tour
-		cost int64
+		tour  Tour
+		cost  int64
+		start int
 	}
 	results := make(chan result, workers)
 	var next, started atomic.Int64
@@ -91,7 +77,7 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 			defer putVisited(sc)
 			cur := make(Tour, n)
 			var best Tour
-			bestC := int64(-1)
+			bestC, bestS := int64(-1), 0
 			var done int64
 			for {
 				s := int(next.Add(1) - 1)
@@ -104,19 +90,21 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 				nearestNeighborInto(ins, s, cur, sc.visited)
 				c := ins.PathCost(cur)
 				done++
+				// Starts are claimed in increasing order, so the first
+				// tie a worker meets has its lowest start.
 				if bestC < 0 || c < bestC {
 					if best == nil {
 						best = make(Tour, n)
 					}
 					copy(best, cur)
-					bestC = c
+					bestC, bestS = c, s
 				}
 				if canceled(ctx) {
 					break
 				}
 			}
 			if bestC >= 0 {
-				results <- result{best, bestC}
+				results <- result{best, bestC, bestS}
 			}
 			started.Add(done)
 		}()
@@ -124,10 +112,10 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 	wg.Wait()
 	close(results)
 	var best Tour
-	bestC := int64(-1)
+	bestC, bestS := int64(-1), 0
 	for r := range results {
-		if bestC < 0 || r.cost < bestC {
-			best, bestC = r.tour, r.cost
+		if bestC < 0 || r.cost < bestC || (r.cost == bestC && r.start < bestS) {
+			best, bestC, bestS = r.tour, r.cost, r.start
 		}
 	}
 	// Every worker completes its first grabbed start before checking ctx,
@@ -140,11 +128,10 @@ func nearestNeighborBest(ctx context.Context, ins *Instance) (Tour, int64, int64
 // disjoint union of simple paths (degree ≤ 2, no cycle). The n-1 accepted
 // edges form a single Hamiltonian path.
 //
-// Edges are considered in (weight, u, v) order. Compact instances walk
-// the distance matrix once per weight class, lightest first, rows and
-// then columns ascending, which is that order with no edge list and no
-// sort; dense instances sort an explicit edge list. All sweep state
-// (degrees, adjacency, union-finds, the dense edge list) is pooled.
+// Edges are considered in (weight, u, v) order: the sweep walks the
+// distance matrix once per weight class, lightest first, rows and then
+// columns ascending, which is that order with no edge list and no sort.
+// All sweep state (degrees, adjacency, union-finds) is pooled.
 func GreedyEdgePath(ins *Instance) Tour {
 	t, _ := GreedyEdgePathMST(ins)
 	return t
@@ -157,12 +144,12 @@ func GreedyEdgePath(ins *Instance) Tour {
 // order, so at every prefix it has at least as many components as
 // Kruskal's forest, and the tree is complete no later than the path.
 //
-// The sweep stops at the (n−1)-th path edge. On compact instances, once
-// Kruskal's tree is complete, an edge matters only to the path, which
-// rejects every edge at a vertex of degree 2: the sweep then skips the
-// row of such a vertex and leaves a row as soon as its vertex reaches
-// degree 2. On a one-weight instance every path edge after the first row
-// is then found within a few columns of its row's start.
+// The sweep stops at the (n−1)-th path edge. Once Kruskal's tree is
+// complete, an edge matters only to the path, which rejects every edge at
+// a vertex of degree 2: the sweep then skips the row of such a vertex and
+// leaves a row as soon as its vertex reaches degree 2. On a one-weight
+// instance every path edge after the first row is then found within a few
+// columns of its row's start.
 func GreedyEdgePathMST(ins *Instance) (Tour, int64) {
 	n := ins.n
 	if n <= 1 {
@@ -170,11 +157,7 @@ func GreedyEdgePathMST(ins *Instance) (Tour, int64) {
 	}
 	sc := getGreedyScratch(n)
 	defer putGreedyScratch(sc)
-	if ins.Compact() {
-		sc.sweepClasses(ins)
-	} else {
-		sc.sweepSorted(ins)
-	}
+	sc.sweepClasses(ins)
 	// Walk the single path from one endpoint.
 	deg, adj := sc.deg, sc.adj
 	start := 0
@@ -201,7 +184,7 @@ func GreedyEdgePathMST(ins *Instance) (Tour, int64) {
 	return tour, sc.mst
 }
 
-// sweepClasses offers a compact instance's edges in (weight, u, v) order:
+// sweepClasses offers the instance's edges in (weight, u, v) order:
 // one pass per weight class in ascending rank, rows ascending and columns
 // j > i ascending within a pass.
 func (sc *greedyScratch) sweepClasses(ins *Instance) {
@@ -225,38 +208,6 @@ func (sc *greedyScratch) sweepClasses(ins *Instance) {
 					break
 				}
 			}
-		}
-	}
-}
-
-// sweepSorted offers a dense instance's edges in (weight, u, v) order by
-// sorting the upper triangle.
-func (sc *greedyScratch) sweepSorted(ins *Instance) {
-	n := ins.n
-	ne := n * (n - 1) / 2
-	if cap(sc.edges) < ne {
-		sc.edges = make([]greedyEdge, ne)
-	}
-	edges := sc.edges[:ne]
-	e := 0
-	for i := 0; i < n; i++ {
-		row := ins.Row(i)
-		for j := i + 1; j < n; j++ {
-			edges[e] = greedyEdge{row[j], packUV(i, j)}
-			e++
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].w != edges[b].w {
-			return edges[a].w < edges[b].w
-		}
-		return edges[a].uv < edges[b].uv
-	})
-	for _, e := range edges {
-		u, v := e.split()
-		sc.offer(u, v, e.w)
-		if sc.taken == n-1 {
-			return
 		}
 	}
 }

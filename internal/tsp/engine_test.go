@@ -3,24 +3,20 @@ package tsp
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"lpltsp/internal/graph"
 	"lpltsp/internal/rng"
 )
 
-// engineTestInstance builds an instance with weights in {lo..hi} where
-// hi ≤ 2·lo, which guarantees the triangle inequality (same argument as
-// the labeling reduction's weight band).
+// engineTestInstance builds an instance with weights in {1,2}, which
+// guarantees the triangle inequality (same argument as the labeling
+// reduction's weight band).
 func engineTestInstance(seed uint64, n int) *Instance {
 	r := rng.New(seed)
-	ins := NewInstance(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ins.SetWeight(i, j, int64(1+r.Intn(2))) // weights in {1,2}
-		}
-	}
-	return ins
+	return weightedInstance(n, func(i, j int) int64 { return int64(1 + r.Intn(2)) })
 }
 
 func TestRegistryResolvesAllEngines(t *testing.T) {
@@ -31,17 +27,22 @@ func TestRegistryResolvesAllEngines(t *testing.T) {
 	}
 	algos := Algorithms()
 	if len(algos) < 8 {
-		t.Fatalf("registry has %d engines, want at least the paper's eight: %v", len(algos), algos)
+		t.Fatalf("table has %d engines, want at least the paper's eight: %v", len(algos), algos)
 	}
+	seen := map[Algorithm]bool{}
 	for _, algo := range algos {
+		if algo == "" || seen[algo] {
+			t.Fatalf("engine name %q empty or listed twice: %v", algo, algos)
+		}
+		seen[algo] = true
 		eng, err := New(algo, nil)
 		if err != nil {
 			t.Fatalf("New(%s): %v", algo, err)
 		}
 		if eng.Name() != algo {
-			t.Fatalf("engine registered as %q names itself %q", algo, eng.Name())
+			t.Fatalf("engine listed as %q names itself %q", algo, eng.Name())
 		}
-		tour, stats, err := eng.Solve(context.Background(), ins, ObjectivePath)
+		tour, stats, err := eng.Solve(context.Background(), ins)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -86,7 +87,7 @@ func TestSolveMatchesEngineDispatch(t *testing.T) {
 }
 
 // TestEnginesReturnPromptlyAfterCancel is the cancellation-semantics
-// contract, table-driven over the registry: with an already-cancelled
+// contract, table-driven over the engine table: with an already-cancelled
 // context every engine must return within a small bound, either with a
 // context error (no incumbent) or with a valid anytime tour.
 func TestEnginesReturnPromptlyAfterCancel(t *testing.T) {
@@ -133,7 +134,7 @@ func TestBnBAnytimeDeadline(t *testing.T) {
 	ins := engineTestInstance(11, 34)
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	tour, stats, err := BranchAndBoundPathContext(ctx, ins)
+	tour, stats, err := branchAndBoundPath(ctx, ins, nil)
 	if err != nil {
 		t.Fatalf("anytime BnB errored: %v", err)
 	}
@@ -152,7 +153,7 @@ func TestBnBAnytimeDeadline(t *testing.T) {
 // set and matches Held–Karp.
 func TestBnBCompletesOptimal(t *testing.T) {
 	ins := engineTestInstance(13, 12)
-	tour, stats, err := BranchAndBoundPathContext(context.Background(), ins)
+	tour, stats, err := branchAndBoundPath(context.Background(), ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestChainedAnytimeUnderDeadline(t *testing.T) {
 	ins := engineTestInstance(17, 120)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tour, cost := ChainedLocalSearchContext(ctx, ins, &ChainedOptions{Restarts: 4, Kicks: 50, Seed: 2})
+	tour, cost, _ := chainedLocalSearch(ctx, ins, &ChainedOptions{Restarts: 4, Kicks: 50, Seed: 2})
 	if err := ins.ValidateTour(tour); err != nil {
 		t.Fatal(err)
 	}
@@ -184,43 +185,46 @@ func TestHeldKarpCancelReturnsContextError(t *testing.T) {
 	ins := engineTestInstance(19, 18)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := HeldKarpPathContext(ctx, ins); !errors.Is(err, context.Canceled) {
+	if _, _, err := heldKarp(ctx, ins); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
-func TestUnsupportedObjective(t *testing.T) {
-	ins := engineTestInstance(23, 8)
-	for _, algo := range []Algorithm{AlgoChained, AlgoTwoOpt, AlgoNearestNeighbor, AlgoGreedyEdge, AlgoBnB} {
-		eng, err := New(algo, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := eng.Solve(context.Background(), ins, ObjectiveCycle); !errors.Is(err, ErrUnsupportedObjective) {
-			t.Fatalf("%s cycle: want ErrUnsupportedObjective, got %v", algo, err)
+// TestEnginesDeterministic: the parallel engines — default-option chained
+// (GOMAXPROCS chains, one of them seeded by the parallel nearest-neighbor
+// sweep) and nn — break cost ties by chain index and start vertex, so
+// repeated solves return the identical tour whichever worker finishes
+// first. The instances are full of ties: a diameter-2 graph under
+// p = (2,2,1) has one weight, so every tour ties; the diameter-2 graphs
+// under (2,1) and (1,2) have two.
+func TestEnginesDeterministic(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		p    []int64
+	}{
+		{"smalldiam42/(2,2,1)", graph.RandomSmallDiameter(rng.New(99), 42, 3, 0.1), []int64{2, 2, 1}},
+		{"diameter2-60/(2,1)", graph.RandomDiameter2(rng.New(5), 60, 0.3), []int64{2, 1}},
+		{"diameter2-60/(1,2)", graph.RandomDiameter2(rng.New(6), 60, 0.5), []int64{1, 2}},
+	}
+	for _, c := range cases {
+		dm := c.g.AllPairsDistances()
+		diam, _ := dm.Max()
+		ins := NewClassInstance(c.g.N(), dm.Data(), diam, c.p)
+		for _, algo := range []Algorithm{AlgoChained, AlgoNearestNeighbor} {
+			first, _, err := SolveContext(context.Background(), ins, algo, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, algo, err)
+			}
+			for rep := 1; rep < 20; rep++ {
+				tour, _, err := SolveContext(context.Background(), ins, algo, nil)
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.name, algo, err)
+				}
+				if !slices.Equal(tour, first) {
+					t.Fatalf("%s %s: repeat %d returned %v, first solve %v", c.name, algo, rep, tour, first)
+				}
+			}
 		}
 	}
-	// Held–Karp and Christofides do support cycles.
-	for _, algo := range []Algorithm{AlgoHeldKarp, AlgoChristofides} {
-		eng, err := New(algo, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tour, _, err := eng.Solve(context.Background(), ins, ObjectiveCycle)
-		if err != nil {
-			t.Fatalf("%s cycle: %v", algo, err)
-		}
-		if err := ins.ValidateTour(tour); err != nil {
-			t.Fatalf("%s cycle: %v", algo, err)
-		}
-	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register must panic")
-		}
-	}()
-	Register(AlgoExact, func(*SolveOptions) Engine { return exactEngine{} })
 }

@@ -26,30 +26,14 @@ const HeldKarpMaxN = 24
 // HeldKarpPath solves METRIC PATH TSP with free endpoints exactly.
 // It returns an optimal Hamiltonian path and its cost.
 func HeldKarpPath(ins *Instance) (Tour, int64, error) {
-	return heldKarp(context.Background(), ins, -1, -1, false)
+	return heldKarp(context.Background(), ins)
 }
 
-// HeldKarpPathContext is HeldKarpPath with cooperative cancellation: the DP
-// checks ctx between subset-cardinality layers and returns ctx.Err() when
-// cancelled (the DP has no meaningful incumbent before completion).
-func HeldKarpPathContext(ctx context.Context, ins *Instance) (Tour, int64, error) {
-	return heldKarp(ctx, ins, -1, -1, false)
-}
-
-// HeldKarpPathBetween solves PATH TSP with fixed endpoints s and t.
-func HeldKarpPathBetween(ins *Instance, s, t int) (Tour, int64, error) {
-	if s == t {
-		return nil, 0, fmt.Errorf("tsp: path endpoints must differ")
-	}
-	return heldKarp(context.Background(), ins, s, t, false)
-}
-
-// HeldKarpCycle solves TSP (Hamiltonian cycle) exactly.
-func HeldKarpCycle(ins *Instance) (Tour, int64, error) {
-	return heldKarp(context.Background(), ins, -1, -1, true)
-}
-
-func heldKarp(ctx context.Context, ins *Instance, s, t int, cycle bool) (Tour, int64, error) {
+// heldKarp is HeldKarpPath with cooperative cancellation: the DP checks
+// ctx between subset-cardinality layers (and within large ones) and
+// returns ctx.Err() when cancelled, since it has no meaningful incumbent
+// before completion.
+func heldKarp(ctx context.Context, ins *Instance) (Tour, int64, error) {
 	n := ins.n
 	if n > HeldKarpMaxN {
 		return nil, 0, fmt.Errorf("tsp: Held–Karp limited to n <= %d, got %d", HeldKarpMaxN, n)
@@ -60,16 +44,7 @@ func heldKarp(ctx context.Context, ins *Instance, s, t int, cycle bool) (Tour, i
 	case 1:
 		return Tour{0}, 0, nil
 	case 2:
-		if cycle {
-			return Tour{0, 1}, 2 * ins.Weight(0, 1), nil
-		}
-		if s >= 0 {
-			return Tour{s, t}, ins.Weight(s, t), nil
-		}
 		return Tour{0, 1}, ins.Weight(0, 1), nil
-	}
-	if cycle {
-		s = 0 // fix rotation
 	}
 
 	if canceled(ctx) {
@@ -95,46 +70,25 @@ func heldKarp(ctx context.Context, ins *Instance, s, t int, cycle bool) (Tour, i
 			dp[i] = inf32
 		}
 	}
-	// Seed singletons.
-	if s >= 0 {
-		dp[(1<<uint(s))*n+s] = 0
-	} else {
-		for v := 0; v < n; v++ {
-			dp[(1<<uint(v))*n+v] = 0
-		}
+	// Seed singletons: every vertex may start the path.
+	for v := 0; v < n; v++ {
+		dp[(1<<uint(v))*n+v] = 0
 	}
 
-	// Precompute weight rows as int32 (all reduced-instance weights are
-	// tiny; general instances must fit int32 or we fall back with an error).
-	// Compact instances translate their distance rows through the class
-	// lut — checked once per class, not once per entry.
+	// Translate the distance rows into int32 weight rows through the
+	// class lut, with one overflow check per class (the lut is tiny) and
+	// no assumption on how large the distance values themselves are.
 	w32 := sc.w32
-	if ins.Compact() {
-		// One overflow check per class (the lut is tiny), then a straight
-		// translation of the distance rows. No assumption on how large
-		// the distance values themselves are.
-		for _, w := range ins.lut {
-			if w > math.MaxInt32/4 {
-				return nil, 0, fmt.Errorf("tsp: weight %d too large for Held–Karp int32 DP", w)
-			}
+	for _, w := range ins.lut {
+		if w > math.MaxInt32/4 {
+			return nil, 0, fmt.Errorf("tsp: weight %d too large for Held–Karp int32 DP", w)
 		}
-		lut := ins.lut
-		for i := 0; i < n; i++ {
-			drow := ins.distRow(i)
-			row := w32[i*n : (i+1)*n]
-			for j, d := range drow {
-				row[j] = int32(lut[d])
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				w := ins.Weight(i, j)
-				if w > math.MaxInt32/4 {
-					return nil, 0, fmt.Errorf("tsp: weight %d too large for Held–Karp int32 DP", w)
-				}
-				w32[i*n+j] = int32(w)
-			}
+	}
+	lut := ins.lut
+	for i := 0; i < n; i++ {
+		row := w32[i*n : (i+1)*n]
+		for j, d := range ins.distRow(i) {
+			row[j] = int32(lut[d])
 		}
 	}
 
@@ -170,17 +124,7 @@ func heldKarp(ctx context.Context, ins *Instance, s, t int, cycle bool) (Tour, i
 	best := inf32
 	bestEnd := -1
 	for v := 0; v < n; v++ {
-		c := dp[full*n+v]
-		if c >= inf32 {
-			continue
-		}
-		if cycle {
-			c += w32[v*n+0]
-		}
-		if t >= 0 && v != t {
-			continue
-		}
-		if c < best {
+		if c := dp[full*n+v]; c < best {
 			best = c
 			bestEnd = v
 		}

@@ -47,21 +47,15 @@ func ChainedLocalSearch(ins *Instance, opts *ChainedOptions) (Tour, int64) {
 	return t, c
 }
 
-// ChainedLocalSearchContext is the anytime form of ChainedLocalSearch:
-// chains check ctx between kicks (and the inner sweeps check it between
-// passes), so after cancellation the best tour found so far is returned
-// promptly. Even with an already-expired context a valid construction tour
-// comes back — the engine never returns an empty result on a nonempty
-// instance.
-func ChainedLocalSearchContext(ctx context.Context, ins *Instance, opts *ChainedOptions) (Tour, int64) {
-	t, c, _ := chainedLocalSearch(ctx, ins, opts)
-	return t, c
-}
-
-// chainedLocalSearch returns the best tour, its cost, and the number of
-// chains that ran to completion (== o.Restarts when nothing was cut
-// short, which is how the engine distinguishes a truncated run from a
-// deadline that fired just after convergence).
+// chainedLocalSearch is the anytime form of ChainedLocalSearch: chains
+// check ctx between kicks (and the inner sweeps check it between passes),
+// so after cancellation the best tour found so far is returned promptly.
+// Even with an already-expired context a valid construction tour comes
+// back. Among equal-cost chains the lowest-numbered wins, so the tour does
+// not depend on which chain finished first. It returns the best tour, its
+// cost, and the number of chains that ran to completion (== o.Restarts
+// when nothing was cut short, which is how the engine distinguishes a
+// truncated run from a deadline that fired just after convergence).
 func chainedLocalSearch(ctx context.Context, ins *Instance, opts *ChainedOptions) (Tour, int64, int64) {
 	o := opts.defaults()
 	n := ins.n
@@ -72,7 +66,7 @@ func chainedLocalSearch(ctx context.Context, ins *Instance, opts *ChainedOptions
 	if canceled(ctx) {
 		// Deadline already blown: hand back the cheapest construction so
 		// the caller still gets an anytime result promptly. (Greedy-edge
-		// would sort all n² edges — too much work past a deadline.)
+		// would sweep the whole matrix — too much work past a deadline.)
 		t := NearestNeighborFrom(ins, 0)
 		return t, ins.PathCost(t), 0
 	}
@@ -85,6 +79,7 @@ func chainedLocalSearch(ctx context.Context, ins *Instance, opts *ChainedOptions
 	type result struct {
 		tour     Tour
 		cost     int64
+		chain    int
 		finished bool
 	}
 	results := make(chan result, o.Restarts)
@@ -149,21 +144,21 @@ func chainedLocalSearch(ctx context.Context, ins *Instance, opts *ChainedOptions
 						copy(cur, best) // restart kick from the best
 					}
 				}
-				results <- result{best, bestC, finished}
+				results <- result{best, bestC, chain, finished}
 			}
 		}()
 	}
 	wg.Wait()
 	close(results)
 	var best Tour
-	bestC := int64(-1)
+	bestC, bestChain := int64(-1), 0
 	var completed int64
 	for res := range results {
 		if res.finished {
 			completed++
 		}
-		if bestC < 0 || res.cost < bestC {
-			best, bestC = res.tour, res.cost
+		if bestC < 0 || res.cost < bestC || (res.cost == bestC && res.chain < bestChain) {
+			best, bestC, bestChain = res.tour, res.cost, res.chain
 		}
 	}
 	if best == nil {

@@ -26,8 +26,8 @@ type twoOptScratch struct {
 	inQueue  []bool
 	dontLook []bool
 	nbr      []int32 // flat neighbor lists, stride kk
-	bucket   []int32 // neighbor-bucketing scratch (compact instances)
-	start    []int32 // per-class bucket offsets (compact instances)
+	bucket   []int32 // per-class neighbor buckets, stride kk
+	start    []int32 // per-class bucket fill counts
 }
 
 var twoOptPool = sync.Pool{New: func() any { return new(twoOptScratch) }}
@@ -105,23 +105,10 @@ func getVisited(n int) *visitedScratch {
 
 func putVisited(sc *visitedScratch) { visitedPool.Put(sc) }
 
-// greedyEdge is the edge record of GreedyEdgePath's dense sweep. uv packs
-// (u << 32) | v so the (weight, u, v) tie-break is a two-field compare.
-type greedyEdge struct {
-	w  int64
-	uv uint64
-}
-
-func (e greedyEdge) split() (u, v int) { return int(e.uv >> 32), int(uint32(e.uv)) }
-
-func packUV(u, v int) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
-
 // greedyScratch backs GreedyEdgePathMST: degree counters, path
 // adjacency, the union-finds of the path forest and of Kruskal's forest,
-// the sweep's tallies, and the edge list of dense instances (n(n-1)/2
-// entries; compact instances sweep the matrix and need none).
+// and the sweep's tallies.
 type greedyScratch struct {
-	edges   []greedyEdge
 	deg     []int8
 	adj     [][2]int32
 	d       dsu.DSU

@@ -3,9 +3,9 @@ package tsp
 import "context"
 
 // Algorithm names a path-TSP solving strategy. Every Algorithm constant
-// below is backed by an Engine in the registry (engine.go); dispatch goes
-// through Lookup, so external packages can Register additional engines and
-// have them picked up by Solve, the core portfolio, and the CLIs.
+// below is backed by an Engine in the fixed engine table (engine.go), and
+// dispatch goes through Lookup: Solve, the core portfolio and the CLIs
+// pick engines by name from the set Algorithms lists.
 type Algorithm string
 
 const (
@@ -50,8 +50,8 @@ func Solve(ins *Instance, algo Algorithm, opts *SolveOptions) (Tour, int64, erro
 	return t, st.Cost, nil
 }
 
-// SolveContext resolves algo through the engine registry and solves the
-// path objective under ctx. Cancellation is cooperative: anytime engines
+// SolveContext resolves algo through the engine table and solves ins
+// under ctx. Cancellation is cooperative: anytime engines
 // (branch and bound, chained, the local-search family) return their best
 // incumbent with Stats.Truncated set; engines without an incumbent return
 // ctx.Err().
@@ -63,5 +63,5 @@ func SolveContext(ctx context.Context, ins *Instance, algo Algorithm, opts *Solv
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return eng.Solve(ctx, ins, ObjectivePath)
+	return eng.Solve(ctx, ins)
 }

@@ -1,29 +1,20 @@
 // Package tsp implements the traveling-salesman machinery the paper's
-// reduction targets: symmetric TSP instances, Hamiltonian cycle and path
-// objectives, exact solvers (Held–Karp dynamic programming, branch and
-// bound), the Christofides / Hoogeveen approximation pipeline, and a
-// chained local-search heuristic family (2-opt, Or-opt, double-bridge
-// restarts) standing in for Lin–Kernighan-style engines.
+// reduction targets: METRIC PATH TSP with free endpoints (Theorem 2) over
+// the compact instances the reduction builds, solved by exact engines
+// (Held–Karp dynamic programming, branch and bound), the Hoogeveen variant
+// of Christofides, and a chained local-search family (2-opt, Or-opt,
+// double-bridge restarts) standing in for Lin–Kernighan-style engines.
 //
-// The paper reduces L(p)-LABELING on diameter-≤k graphs to METRIC PATH TSP
-// (free endpoints); everything here therefore supports the path objective
-// natively, with cycle variants provided for completeness and tests.
+// # Instances
 //
-// # Instance representations
+// The reduction's weights are w(u,v) = p[dist(u,v)-1], so at most
+// k = dim(p) distinct values occur. NewClassInstance stores only a shared
+// row-major []uint16 distance matrix plus a (diameter+1)-entry
+// distance→weight lookup table — 2 bytes per entry, with no copy and no
+// scan of the matrix the reduction already computed.
 //
-// An Instance comes in two physical layouts behind one API:
-//
-//   - Dense: an n×n int64 weight matrix (NewInstance/SetWeight). The
-//     general-purpose form used by tests and ad-hoc instances.
-//   - Compact (weight-class): the reduction's instances have weights
-//     w(u,v) = p[dist(u,v)-1], so at most k = dim(p) distinct values
-//     occur. NewClassInstance stores only a shared row-major []uint16
-//     distance matrix plus a (diameter+1)-entry distance→weight lookup
-//     table — 2 bytes per entry instead of 8, with no copy and no scan of
-//     the matrix the reduction already computed.
-//
-// Compact instances are immutable and additionally expose the weight-class
-// structure (classOf/classW): the distinct weights sorted ascending and a
+// Instances are immutable and also expose the weight-class structure
+// (classOf/classW): the distinct weights sorted ascending and a
 // distance→class-rank map. Engines exploit it for comparison-sort-free
 // neighbor lists and for greedy-edge sweeps that walk the matrix once per
 // weight class, in (weight, u, v) order with no edge list (O(k·n²) at
@@ -31,46 +22,37 @@
 //
 // # Memory model
 //
-// A compact Instance aliases the caller's distance matrix read-only; it is
-// never written through. Engines treat every Instance as read-only while
-// solving, so one compact Instance (and hence one distance matrix) may be
-// shared by many concurrently racing engines and batch workers. Hot-path
-// scratch (neighbor lists, don't-look bits, DP layers, BnB node buffers)
-// comes from package-level sync.Pools, so steady-state solving does no
+// An Instance aliases the caller's distance matrix read-only; it is never
+// written through. Engines treat every Instance as read-only while
+// solving, so one Instance (and hence one distance matrix) may be shared
+// by many concurrently racing engines and batch workers. Hot-path scratch
+// (neighbor lists, don't-look bits, DP layers, BnB node buffers) comes
+// from package-level sync.Pools, so steady-state solving does no
 // per-instance heap allocation beyond the returned tours.
 package tsp
 
 import "fmt"
 
-// Instance is a symmetric TSP instance on n vertices with int64 weights.
-// The diagonal is 0. Two backings exist: dense (explicit weight matrix) and
-// compact (shared distance matrix + weight-class lookup; see the package
-// comment). Instances produced by the labeling reduction are compact and
-// satisfy the triangle inequality (weights within [pmin, 2pmin]).
+// Instance is a symmetric TSP instance on n vertices with int64 weights
+// and a zero diagonal, backed by a shared distance matrix and a
+// weight-class lookup (see the package comment). Instances built by the
+// labeling reduction satisfy the triangle inequality (weights within
+// [pmin, 2pmin]).
 type Instance struct {
 	n int
-	w []int64 // dense backing; nil for compact instances
 
-	// Compact (weight-class) backing. dist is the shared row-major
-	// distance matrix (aliased, read-only); lut[d] is the weight of
-	// distance class d with lut[0] = 0, truncated to the largest distance.
-	// classOf[d] ranks distance d among the distinct weights (ascending);
-	// classW lists those distinct weights ascending.
+	// dist is the shared row-major distance matrix (aliased, read-only);
+	// lut[d] is the weight of distance class d with lut[0] = 0, truncated
+	// to the largest distance. classOf[d] ranks distance d among the
+	// distinct weights (ascending); classW lists those distinct weights
+	// ascending.
 	dist    []uint16
 	lut     []int64
 	classOf []int32
 	classW  []int64
 }
 
-// NewInstance returns a dense instance with all weights zero.
-func NewInstance(n int) *Instance {
-	if n < 0 {
-		panic("tsp: negative size")
-	}
-	return &Instance{n: n, w: make([]int64, n*n)}
-}
-
-// NewClassInstance returns a compact instance over the row-major n×n BFS
+// NewClassInstance returns an instance over the row-major n×n BFS
 // distance matrix of a connected graph whose largest distance is maxDist,
 // with per-distance class weights: Weight(i,j) =
 // classWeights[dist[i*n+j]-1]. The matrix is aliased read-only, not copied
@@ -121,98 +103,24 @@ func NewClassInstance(n int, dist []uint16, maxDist int, classWeights []int64) *
 // N returns the number of vertices.
 func (ins *Instance) N() int { return ins.n }
 
-// Compact reports whether the instance uses the weight-class backing.
-func (ins *Instance) Compact() bool { return ins.dist != nil }
-
-// Classes returns the number of distinct weights: the weight-class count
-// for compact instances (≤ dim(p) for reduced instances), 0 for dense ones
-// (callers needing it must scan).
+// Classes returns the number of distinct weights among the distances
+// 1…maxDist (≤ dim(p) for reduced instances).
 func (ins *Instance) Classes() int { return len(ins.classW) }
 
 // Weight returns w(i,j).
-func (ins *Instance) Weight(i, j int) int64 {
-	if ins.dist == nil {
-		return ins.w[i*ins.n+j]
-	}
-	return ins.lut[ins.dist[i*ins.n+j]]
-}
+func (ins *Instance) Weight(i, j int) int64 { return ins.lut[ins.dist[i*ins.n+j]] }
 
-// SetWeight sets w(i,j) = w(j,i) = x. Dense instances only — compact
-// instances view a shared distance matrix and are immutable.
-func (ins *Instance) SetWeight(i, j int, x int64) {
-	if ins.w == nil {
-		panic("tsp: SetWeight on a compact (weight-class) instance")
-	}
-	if i == j {
-		panic("tsp: diagonal weight must stay zero")
-	}
-	ins.w[i*ins.n+j] = x
-	ins.w[j*ins.n+i] = x
-}
+// distRow returns the distance row of i. In-package engines pair it with
+// ins.lut for branch-free weight lookups inside hot loops.
+func (ins *Instance) distRow(i int) []uint16 { return ins.dist[i*ins.n : (i+1)*ins.n] }
 
-// Row returns the dense weight row of i (shared storage; read-only). It is
-// the dense fast path only; compact callers use distRow/lut or Weight.
-func (ins *Instance) Row(i int) []int64 {
-	if ins.w == nil {
-		panic("tsp: Row on a compact (weight-class) instance")
-	}
-	return ins.w[i*ins.n : (i+1)*ins.n]
-}
-
-// distRow returns the distance row of i for compact instances (nil for
-// dense ones). In-package engines pair it with ins.lut for branch-free
-// weight lookups inside hot loops.
-func (ins *Instance) distRow(i int) []uint16 {
-	if ins.dist == nil {
-		return nil
-	}
-	return ins.dist[i*ins.n : (i+1)*ins.n]
-}
-
-// Densify returns a dense copy of the instance (the identity for dense
-// input, a materialized weight matrix for compact input). Intended for
-// equivalence tests and callers that must mutate weights.
-func (ins *Instance) Densify() *Instance {
-	out := NewInstance(ins.n)
-	if ins.w != nil {
-		copy(out.w, ins.w)
-		return out
-	}
-	for i := 0; i < ins.n; i++ {
-		drow := ins.distRow(i)
-		wrow := out.w[i*ins.n : (i+1)*ins.n]
-		for j, d := range drow {
-			wrow[j] = ins.lut[d]
-		}
-	}
-	return out
-}
-
-// MinMaxWeight returns the smallest and largest off-diagonal weights.
-// For n < 2 it returns (0, 0). Compact instances answer in O(1) from the
-// weight classes; dense instances scan the upper triangle (symmetry makes
-// the lower triangle redundant).
+// MinMaxWeight returns the smallest and largest off-diagonal weights,
+// read from the weight classes. For n < 2 it returns (0, 0).
 func (ins *Instance) MinMaxWeight() (min, max int64) {
 	if ins.n < 2 {
 		return 0, 0
 	}
-	if ins.dist != nil {
-		return ins.classW[0], ins.classW[len(ins.classW)-1]
-	}
-	min = ins.w[1] // w(0,1)
-	for i := 0; i < ins.n; i++ {
-		row := ins.w[i*ins.n : (i+1)*ins.n]
-		for j := i + 1; j < ins.n; j++ {
-			w := row[j]
-			if w < min {
-				min = w
-			}
-			if w > max {
-				max = w
-			}
-		}
-	}
-	return min, max
+	return ins.classW[0], ins.classW[len(ins.classW)-1]
 }
 
 // IsMetric reports whether the weights satisfy the triangle inequality.
@@ -238,33 +146,18 @@ func (ins *Instance) IsMetric() bool {
 	return true
 }
 
-// Tour is a permutation of 0..n-1. Interpreted as a Hamiltonian path in
-// visit order, or as a Hamiltonian cycle with an implicit closing edge.
+// Tour is a permutation of 0..n-1, interpreted as a Hamiltonian path in
+// visit order.
 type Tour []int
 
 // PathCost returns the weight of the Hamiltonian path t[0]-t[1]-…-t[n-1].
 func (ins *Instance) PathCost(t Tour) int64 {
 	var c int64
-	n := ins.n
-	if ins.dist != nil {
-		dist, lut := ins.dist, ins.lut
-		for i := 0; i+1 < len(t); i++ {
-			c += lut[dist[t[i]*n+t[i+1]]]
-		}
-		return c
-	}
+	n, dist, lut := ins.n, ins.dist, ins.lut
 	for i := 0; i+1 < len(t); i++ {
-		c += ins.w[t[i]*n+t[i+1]]
+		c += lut[dist[t[i]*n+t[i+1]]]
 	}
 	return c
-}
-
-// CycleCost returns PathCost plus the closing edge t[n-1]→t[0].
-func (ins *Instance) CycleCost(t Tour) int64 {
-	if len(t) < 2 {
-		return 0
-	}
-	return ins.PathCost(t) + ins.Weight(t[len(t)-1], t[0])
 }
 
 // ValidateTour checks that t is a permutation of 0..n-1.

@@ -1,41 +1,55 @@
 package tsp
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"lpltsp/internal/rng"
 )
 
+// weightedInstance builds an instance with arbitrary symmetric weights in
+// the form production solves: the distinct off-diagonal weights,
+// ascending, become the distances 1…K of a uint16 matrix and the class
+// weights of NewClassInstance, so every distance 1…maxDist occurs as its
+// contract requires. w is called once per pair i < j, in row order.
+func weightedInstance(n int, w func(i, j int) int64) *Instance {
+	upper := make([]int64, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			upper = append(upper, w(i, j))
+		}
+	}
+	classes := slices.Compact(slices.Sorted(slices.Values(upper)))
+	dist := make([]uint16, n*n)
+	e := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			rank, _ := slices.BinarySearch(classes, upper[e])
+			dist[i*n+j], dist[j*n+i] = uint16(rank+1), uint16(rank+1)
+			e++
+		}
+	}
+	return NewClassInstance(n, dist, len(classes), classes)
+}
+
 // randomInstance returns a random symmetric instance with weights in
 // [1, maxW].
 func randomInstance(r *rng.RNG, n int, maxW int) *Instance {
-	ins := NewInstance(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ins.SetWeight(i, j, int64(1+r.Intn(maxW)))
-		}
-	}
-	return ins
+	return weightedInstance(n, func(i, j int) int64 { return int64(1 + r.Intn(maxW)) })
 }
 
 // randomMetricInstance returns a random instance with weights in
 // {lo..2lo}, which satisfies the triangle inequality (as the paper's
 // reduced instances do).
 func randomMetricInstance(r *rng.RNG, n int, lo int) *Instance {
-	ins := NewInstance(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ins.SetWeight(i, j, int64(lo+r.Intn(lo+1)))
-		}
-	}
-	return ins
+	return weightedInstance(n, func(i, j int) int64 { return int64(lo + r.Intn(lo+1)) })
 }
 
-// brutePath finds the optimal Hamiltonian path by enumerating all
-// permutations (free endpoints).
-func brutePath(ins *Instance) int64 {
-	n := ins.N()
-	perm := make([]int, n)
+// brutePath finds the optimal Hamiltonian path cost under cost by
+// enumerating all permutations of n vertices (free endpoints).
+func brutePath(n int, cost func(Tour) int64) int64 {
+	perm := make(Tour, n)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -43,7 +57,7 @@ func brutePath(ins *Instance) int64 {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == n {
-			c := ins.PathCost(perm)
+			c := cost(perm)
 			if best < 0 || c < best {
 				best = c
 			}
@@ -56,32 +70,6 @@ func brutePath(ins *Instance) int64 {
 		}
 	}
 	rec(0)
-	return best
-}
-
-func bruteCycle(ins *Instance) int64 {
-	n := ins.N()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	best := int64(-1)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			c := ins.CycleCost(perm)
-			if best < 0 || c < best {
-				best = c
-			}
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(1) // fix rotation
 	return best
 }
 
@@ -100,74 +88,24 @@ func TestHeldKarpPathVsBruteForce(t *testing.T) {
 		if got := ins.PathCost(tour); got != cost {
 			t.Fatalf("reported cost %d != recomputed %d", cost, got)
 		}
-		if want := brutePath(ins); cost != want {
+		if want := brutePath(n, ins.PathCost); cost != want {
 			t.Fatalf("trial %d n=%d: HK path %d, brute %d", trial, n, cost, want)
 		}
 	}
 }
 
-func TestHeldKarpCycleVsBruteForce(t *testing.T) {
-	r := rng.New(2)
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + r.Intn(6)
-		ins := randomInstance(r, n, 25)
-		tour, cost, err := HeldKarpCycle(ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ins.ValidateTour(tour); err != nil {
-			t.Fatal(err)
-		}
-		if got := ins.CycleCost(tour); got != cost {
-			t.Fatalf("reported cycle cost %d != recomputed %d", cost, got)
-		}
-		if want := bruteCycle(ins); cost != want {
-			t.Fatalf("trial %d n=%d: HK cycle %d, brute %d", trial, n, cost, want)
-		}
-	}
-}
-
-func TestHeldKarpPathBetween(t *testing.T) {
-	r := rng.New(3)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(6)
-		ins := randomInstance(r, n, 20)
-		s := r.Intn(n)
-		tt := r.Intn(n)
-		if s == tt {
-			continue
-		}
-		tour, cost, err := HeldKarpPathBetween(ins, s, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tour[0] != s && tour[n-1] != s {
-			t.Fatalf("endpoint s=%d not at either end of %v", s, tour)
-		}
-		if tour[0] != tt && tour[n-1] != tt {
-			t.Fatalf("endpoint t=%d not at either end of %v", tt, tour)
-		}
-		// Fixed-endpoint optimum is ≥ free optimum.
-		_, free, _ := HeldKarpPath(ins)
-		if cost < free {
-			t.Fatalf("fixed-endpoint cost %d below free-endpoint optimum %d", cost, free)
-		}
-	}
-}
-
 func TestHeldKarpSmallSizes(t *testing.T) {
-	ins := NewInstance(0)
+	ins := weightedInstance(0, nil)
 	tour, cost, err := HeldKarpPath(ins)
 	if err != nil || len(tour) != 0 || cost != 0 {
 		t.Fatalf("n=0: %v %v %v", tour, cost, err)
 	}
-	ins = NewInstance(1)
+	ins = weightedInstance(1, nil)
 	tour, cost, err = HeldKarpPath(ins)
 	if err != nil || len(tour) != 1 || cost != 0 {
 		t.Fatalf("n=1: %v %v %v", tour, cost, err)
 	}
-	ins = NewInstance(2)
-	ins.SetWeight(0, 1, 7)
+	ins = weightedInstance(2, func(i, j int) int64 { return 7 })
 	_, cost, err = HeldKarpPath(ins)
 	if err != nil || cost != 7 {
 		t.Fatalf("n=2: cost %d err %v", cost, err)
@@ -175,7 +113,7 @@ func TestHeldKarpSmallSizes(t *testing.T) {
 }
 
 func TestHeldKarpRejectsHugeN(t *testing.T) {
-	ins := NewInstance(HeldKarpMaxN + 1)
+	ins := weightedInstance(HeldKarpMaxN+1, func(i, j int) int64 { return 1 })
 	if _, _, err := HeldKarpPath(ins); err == nil {
 		t.Fatal("expected size-limit error")
 	}
@@ -190,10 +128,11 @@ func TestBranchAndBoundMatchesHeldKarp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tour, bb, err := BranchAndBoundPath(ins)
+		tour, st, err := branchAndBoundPath(context.Background(), ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bb := st.Cost
 		if err := ins.ValidateTour(tour); err != nil {
 			t.Fatal(err)
 		}
@@ -221,25 +160,6 @@ func TestChristofidesPathRatio(t *testing.T) {
 		_, opt, _ := HeldKarpPath(ins)
 		if float64(cost) > 1.5*float64(opt)+1e-9 {
 			t.Fatalf("trial %d n=%d: christofides-path %d > 1.5×opt (%d)", trial, n, cost, opt)
-		}
-	}
-}
-
-func TestChristofidesCycleRatio(t *testing.T) {
-	r := rng.New(6)
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + r.Intn(8)
-		ins := randomMetricInstance(r, n, 2)
-		tour, cost, err := ChristofidesCycle(ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ins.ValidateTour(tour); err != nil {
-			t.Fatal(err)
-		}
-		_, opt, _ := HeldKarpCycle(ins)
-		if float64(cost) > 1.5*float64(opt)+1e-9 {
-			t.Fatalf("trial %d n=%d: christofides %d > 1.5×opt (%d)", trial, n, cost, opt)
 		}
 	}
 }
@@ -322,12 +242,12 @@ func TestConstructionValidity(t *testing.T) {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 		}
-		tour, cost := NearestNeighborBest(ins)
+		tour, cost, starts := nearestNeighborBest(context.Background(), ins)
 		if err := ins.ValidateTour(tour); err != nil {
 			t.Fatal(err)
 		}
-		if cost != ins.PathCost(tour) {
-			t.Fatal("NearestNeighborBest cost mismatch")
+		if cost != ins.PathCost(tour) || starts != int64(n) {
+			t.Fatalf("nearestNeighborBest: cost %d (path %d), %d starts", cost, ins.PathCost(tour), starts)
 		}
 	}
 }
@@ -356,27 +276,29 @@ func TestSolveDispatch(t *testing.T) {
 	}
 }
 
+// symmetricInstance builds the instance of the weight matrix w.
+func symmetricInstance(w [][]int64) *Instance {
+	return weightedInstance(len(w), func(i, j int) int64 { return w[i][j] })
+}
+
 func TestIsMetric(t *testing.T) {
-	ins := NewInstance(3)
-	ins.SetWeight(0, 1, 1)
-	ins.SetWeight(1, 2, 1)
-	ins.SetWeight(0, 2, 3) // violates triangle inequality
+	ins := symmetricInstance([][]int64{{0, 1, 3}, {1, 0, 1}, {3, 1, 0}}) // violates the triangle inequality
 	if ins.IsMetric() {
 		t.Fatal("expected non-metric")
 	}
-	ins.SetWeight(0, 2, 2)
+	ins = symmetricInstance([][]int64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}})
 	if !ins.IsMetric() {
 		t.Fatal("expected metric")
 	}
 }
 
 func TestMinMaxWeight(t *testing.T) {
-	ins := NewInstance(3)
-	ins.SetWeight(0, 1, 2)
-	ins.SetWeight(1, 2, 5)
-	ins.SetWeight(0, 2, 3)
+	ins := symmetricInstance([][]int64{{0, 2, 3}, {2, 0, 5}, {3, 5, 0}})
 	min, max := ins.MinMaxWeight()
 	if min != 2 || max != 5 {
 		t.Fatalf("min=%d max=%d, want 2 and 5", min, max)
+	}
+	if min, max := weightedInstance(1, nil).MinMaxWeight(); min != 0 || max != 0 {
+		t.Fatalf("n=1: min=%d max=%d, want 0 and 0", min, max)
 	}
 }

@@ -1,28 +1,21 @@
 package tsp
 
-import (
-	"context"
-)
+import "context"
 
-// TwoOptPathFast is the neighbor-list variant of TwoOptPath for larger
-// instances: each vertex keeps its K nearest neighbors and carries a
+// twoOptPathFast is the neighbor-list variant of twoOptPath for larger
+// instances: each vertex keeps its k nearest neighbors and carries a
 // don't-look bit; only moves whose first new edge connects a vertex to one
 // of its near neighbors are examined. This is the classical engineering of
 // Lin–Kernighan-style 2-opt (Bentley) and makes the sweep close to linear
-// per pass in practice. Returns the applied delta (≤ 0).
+// per pass in practice.
 //
 // The result is a 2-opt local optimum with respect to the restricted
 // neighborhood only; TwoOptPath (exhaustive) remains the reference
-// implementation and the two agree on small instances in tests.
-func TwoOptPathFast(ins *Instance, t Tour, k int) int64 {
-	d, _ := twoOptPathFast(context.Background(), ins, t, k)
-	return d
-}
-
-// twoOptPathFast is TwoOptPathFast with a cancellation checkpoint every
-// few hundred queue pops. It reports, along with the applied delta,
-// whether the queue drained to a (restricted-neighborhood) local optimum.
-// All working state (neighbor lists, queues, don't-look bits) is pooled.
+// implementation and the two agree on small instances in tests. A
+// cancellation checkpoint sits every few hundred queue pops; along with
+// the applied delta (≤ 0) it reports whether the queue drained to a local
+// optimum. All working state (neighbor lists, queues, don't-look bits) is
+// pooled.
 func twoOptPathFast(ctx context.Context, ins *Instance, t Tour, k int) (int64, bool) {
 	n := len(t)
 	if n < 3 {
@@ -132,110 +125,53 @@ func twoOptPathFast(ctx context.Context, ins *Instance, t Tour, k int) (int64, b
 	return total, true
 }
 
-// nearestNeighbors is the slice-of-slices form of nearestNeighborsInto,
-// kept for tests and ad-hoc callers (it copies out of the pooled scratch).
-func nearestNeighbors(ins *Instance, k int) [][]int32 {
-	n := ins.n
-	kk := k
-	if kk > n-1 {
-		kk = n - 1
-	}
-	if kk < 0 {
-		kk = 0
-	}
-	sc := getTwoOptScratch(n, kk, ins.Classes())
-	defer putTwoOptScratch(sc)
-	flat := nearestNeighborsInto(ins, kk, sc)
-	out := make([][]int32, n)
-	for v := range out {
-		out[v] = append([]int32(nil), flat[v*kk:(v+1)*kk]...)
-	}
-	return out
-}
-
 // nearestNeighborsInto fills sc.nbr with, for each vertex, its kk nearest
 // other vertices by weight (ties broken by index), stored flat with stride
 // kk, and returns that slice. The caller guarantees kk ≤ n-1.
 //
-// Compact instances are bucketed by weight class — one O(n) counting pass
-// per vertex, no comparison sort (the ≤k-distinct-weights structure of the
+// Each vertex is bucketed by weight class — one O(n) counting pass per
+// vertex, no comparison sort (the ≤k-distinct-weights structure of the
 // reduction's instances). Since classOf ranks classes by weight and the
 // scan visits vertices in index order, the bucket order is exactly the
-// (weight, index) order of the dense path. Dense instances use a bounded
-// insertion pass (O(n·kk) per vertex, allocation-free).
+// (weight, index) order.
 func nearestNeighborsInto(ins *Instance, kk int, sc *twoOptScratch) []int32 {
 	n := ins.n
 	out := sc.nbr
 	if kk == 0 {
 		return out[:0]
 	}
-	if ins.Compact() {
-		classOf, cnt, buckets := ins.classOf, sc.start, sc.bucket
-		classes := len(ins.classW)
-		cnt = cnt[:classes]
-		// One pass per vertex: append u to its weight class's bucket,
-		// capped at kk entries per class — no class can contribute more
-		// than kk slots to the output, so later arrivals in a full class
-		// are irrelevant. Scanning u ascending keeps every bucket
-		// index-sorted, and classes are already ranked by weight, so
-		// concatenating the buckets yields the exact (weight, index)
-		// order of the dense path.
-		for v := 0; v < n; v++ {
-			drow := ins.distRow(v)
-			for c := range cnt {
-				cnt[c] = 0
-			}
-			for u, d := range drow {
-				if u == v {
-					continue
-				}
-				c := classOf[d]
-				if filled := cnt[c]; filled < int32(kk) {
-					buckets[int(c)*kk+int(filled)] = int32(u)
-					cnt[c] = filled + 1
-				}
-			}
-			dst := out[v*kk : (v+1)*kk]
-			pos := 0
-			for c := 0; c < classes && pos < kk; c++ {
-				take := int(cnt[c])
-				if take > kk-pos {
-					take = kk - pos
-				}
-				copy(dst[pos:pos+take], buckets[c*kk:c*kk+take])
-				pos += take
-			}
-		}
-		return out
-	}
+	classOf, cnt, buckets := ins.classOf, sc.start, sc.bucket
+	classes := len(ins.classW)
+	cnt = cnt[:classes]
+	// One pass per vertex: append u to its weight class's bucket, capped
+	// at kk entries per class — no class can contribute more than kk
+	// slots to the output, so later arrivals in a full class are
+	// irrelevant. Scanning u ascending keeps every bucket index-sorted,
+	// and classes are already ranked by weight, so concatenating the
+	// buckets yields the (weight, index) order.
 	for v := 0; v < n; v++ {
-		row := ins.w[v*n : (v+1)*n]
-		top := out[v*kk : v*kk : (v+1)*kk]
-		for u := 0; u < n; u++ {
+		for c := range cnt {
+			cnt[c] = 0
+		}
+		for u, d := range ins.distRow(v) {
 			if u == v {
 				continue
 			}
-			w := row[u]
-			if len(top) == kk {
-				lw := row[top[kk-1]]
-				if w > lw || (w == lw && int32(u) > top[kk-1]) {
-					continue
-				}
-				top = top[:kk-1]
+			c := classOf[d]
+			if filled := cnt[c]; filled < int32(kk) {
+				buckets[int(c)*kk+int(filled)] = int32(u)
+				cnt[c] = filled + 1
 			}
-			// Insert u keeping (weight, index) order; scan from the tail —
-			// most candidates land near it.
-			i := len(top)
-			top = top[:i+1]
-			for i > 0 {
-				pw := row[top[i-1]]
-				if pw < w || (pw == w && top[i-1] < int32(u)) {
-					break
-				}
-				top[i] = top[i-1]
-				i--
+		}
+		dst := out[v*kk : (v+1)*kk]
+		pos := 0
+		for c := 0; c < classes && pos < kk; c++ {
+			take := int(cnt[c])
+			if take > kk-pos {
+				take = kk - pos
 			}
-			top[i] = int32(u)
+			copy(dst[pos:pos+take], buckets[c*kk:c*kk+take])
+			pos += take
 		}
 	}
 	return out

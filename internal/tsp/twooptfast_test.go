@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"context"
 	"testing"
 
 	"lpltsp/internal/rng"
@@ -13,7 +14,7 @@ func TestTwoOptFastNeverWorsens(t *testing.T) {
 		ins := randomInstance(r, n, 100)
 		tour := Tour(r.Perm(n))
 		before := ins.PathCost(tour)
-		delta := TwoOptPathFast(ins, tour, 8)
+		delta, _ := twoOptPathFast(context.Background(), ins, tour, 8)
 		if err := ins.ValidateTour(tour); err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestTwoOptFastWithFullNeighborsMatchesQuality(t *testing.T) {
 		n := 4 + r.Intn(20)
 		ins := randomInstance(r, n, 50)
 		tour := Tour(r.Perm(n))
-		TwoOptPathFast(ins, tour, n-1)
+		twoOptPathFast(context.Background(), ins, tour, n-1)
 		if d := TwoOptPath(ins, tour); d < 0 {
 			t.Fatalf("trial %d: exhaustive 2-opt improved a full-neighborhood fast result by %d", trial, d)
 		}
@@ -46,15 +47,10 @@ func TestTwoOptFastWithFullNeighborsMatchesQuality(t *testing.T) {
 func TestTwoOptFastLargeInstance(t *testing.T) {
 	r := rng.New(53)
 	n := 400
-	ins := NewInstance(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ins.SetWeight(i, j, int64(1+r.Intn(2)))
-		}
-	}
+	ins := randomInstance(r, n, 2)
 	tour := Tour(r.Perm(n))
 	before := ins.PathCost(tour)
-	TwoOptPathFast(ins, tour, 10)
+	twoOptPathFast(context.Background(), ins, tour, 10)
 	after := ins.PathCost(tour)
 	if err := ins.ValidateTour(tour); err != nil {
 		t.Fatal(err)
@@ -72,9 +68,8 @@ func TestNearestNeighborsShape(t *testing.T) {
 		if len(list) != 5 {
 			t.Fatalf("vertex %d has %d neighbors, want 5", v, len(list))
 		}
-		row := ins.Row(v)
 		for i := 1; i < len(list); i++ {
-			if row[list[i-1]] > row[list[i]] {
+			if ins.Weight(v, int(list[i-1])) > ins.Weight(v, int(list[i])) {
 				t.Fatalf("vertex %d neighbor list not sorted by weight", v)
 			}
 		}

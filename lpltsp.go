@@ -74,10 +74,10 @@
 //		// br.ID, br.Result, br.Err
 //	}
 //
-// Engines are pluggable: everything under Options.Algorithm is resolved
-// through a registry, so an external package can register a new engine
-// and have Solve, Portfolio, and the CLIs pick it up by name. Methods are
-// pluggable the same way one layer up (core.RegisterMethod).
+// Engines are picked by name: Options.Algorithm (and the CLIs' -algo
+// flag) accepts any name in the fixed set Algorithms() lists, or
+// AlgoPortfolio. Methods are picked the same way one layer up, through
+// Options.Method and the Method* constants.
 //
 // # Memoization
 //
@@ -180,8 +180,8 @@ const (
 	AlgoPathCover = core.AlgoPathCover
 )
 
-// Algorithms lists all registered engine names (AlgoPortfolio is a
-// meta-engine composed of these and is not listed).
+// Algorithms lists every engine name (AlgoPortfolio is a meta-engine
+// composed of these and is not listed).
 func Algorithms() []Algorithm { return tsp.Algorithms() }
 
 // ChainedOptions tunes the chained heuristic engine.
