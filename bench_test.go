@@ -544,7 +544,7 @@ func BenchmarkSubstrateBlossom(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := matching.MinWeightPerfectSparse(n, edges); err != nil {
+		if _, err := matching.MinWeightPerfectSparse(n, edges); err != nil {
 			b.Fatal(err)
 		}
 	}

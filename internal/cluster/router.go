@@ -288,23 +288,15 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// solveKey extracts the routing key from a /v1/solve body without fully
-// validating it (see routingKey). The body is forwarded verbatim either
-// way — the owner performs real validation.
+// solveKey extracts the routing key from a /v1/solve body (see
+// routingKey). The body is decoded by the service's own decoder, so a
+// body a backend would reject as malformed is rejected here; the
+// semantic checks (p, options, size limits) stay with the owner, which
+// receives the body verbatim.
 func solveKey(r *http.Request, body []byte) (key string, isRef bool, err error) {
-	if ct := graph.MediaType(r.Header.Get("Content-Type")); ct == graph.BinaryContentType {
-		g, _, err := graph.DecodeBody(ct, body)
-		if err != nil {
-			return "", false, err
-		}
-		return intern.Ref(g), false, nil
-	}
-	var req struct {
-		Graph    *graph.Graph `json:"graph"`
-		GraphRef string       `json:"graphRef"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", false, fmt.Errorf("bad request body: %w", err)
+	var req service.SolveRequest
+	if err := service.DecodeSolveBody(r.Header.Get("Content-Type"), body, &req); err != nil {
+		return "", false, err
 	}
 	return routingKey(req.Graph, req.GraphRef, -1)
 }
@@ -592,7 +584,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := service.DecodeBatchRequest(body, &req); err != nil {
 		rt.routerError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}

@@ -486,3 +486,30 @@ func TestWithPprofGatesDebugHandlers(t *testing.T) {
 		t.Errorf("/healthz through WithPprof: status %d", resp.StatusCode)
 	}
 }
+
+// The router decodes request bodies with the service's own decoders, so
+// a body any backend would reject as malformed — here nested one level
+// past the depth bound, or naming an unknown member — is answered 400 by
+// the router itself (code "router") and never forwarded.
+func TestRouterRejectsMalformedBodies(t *testing.T) {
+	rt, _, _ := newTestCluster(t, 2, 9, false)
+	deep := func(depth int) string { return strings.Repeat("[", depth) + strings.Repeat("]", depth) }
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/graphs", `{"n":1,"x":` + deep(10000) + `}`},
+		{"/v1/solve", `{"graph":{"n":1,"x":` + deep(9999) + `},"p":[2,1]}`},
+		{"/v1/batch", `{"items":[{"graph":{"n":1,"x":` + deep(9997) + `},"p":[2,1]}]}`},
+		{"/v1/solve", `{"graph":{"n":2,"edges":[[0,1]]},"p":[2,1],"bogus":1}`},
+		{"/v1/batch", `{"items":[{"graph":{"n":2,"edges":[[0,1]]},"p":[2,1],"bogus":1}]}`},
+		{"/v1/solve", `{"graph":{"n":2,"edges":[[0,1]]},"p":[2,1],"p":[1,1]}`},
+	} {
+		resp, rb := doJSON(t, rt, http.MethodPost, tc.path, []byte(tc.body))
+		var sr service.SolveResponse
+		json.Unmarshal(rb, &sr)
+		if resp.StatusCode != http.StatusBadRequest || sr.Code != "router" {
+			t.Errorf("%s %.60s…: status %d code %q, want 400 from the router (%.200s)", tc.path, tc.body, resp.StatusCode, sr.Code, rb)
+		}
+	}
+	if n := rt.Stats().Proxied; n != 0 {
+		t.Errorf("router proxied %d malformed requests, want 0", n)
+	}
+}

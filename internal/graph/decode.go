@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,14 +19,19 @@ import (
 // allocations, no post-hoc Normalize sort of per-vertex slices. A cold
 // decode performs four result allocations (Graph, offsets, neighbors,
 // adjacency headers) regardless of edge count; all scratch comes from
-// sync.Pools.
+// sync.Pools. Edge elements written [u,v] without whitespace, as every
+// encoder here writes them, are parsed by a fast path (compactEdge);
+// any other spelling takes the general element parser.
 //
-// Graph.UnmarshalJSON routes through decodeJSONGraph, so every consumer
-// of the JSON codec (the lplserve request path above all) gets the fast
-// path. The previous encoding/json-based implementation is retained as
-// decodeJSONReference and pinned bit-identical (CSR arrays and
-// fingerprint) to the streaming decoder by decoder-equivalence tests
-// and FuzzDecodeEquivalence.
+// One scanner (jsonScan) reads every JSON body: Graph.UnmarshalJSON and
+// DecodeBody for bare graphs, and, through the exported JSONReader, the
+// request envelopes of the service and the router, which build their
+// graph in the middle of the envelope scan. A body is therefore scanned
+// exactly once. Nesting is bounded at encoding/json's depth (10000), so a
+// deeply nested member is an error, not a stack overflow. The previous
+// encoding/json-based graph decoder is retained as decodeJSONReference
+// and pinned bit-identical (CSR arrays and fingerprint) to the streaming
+// decoder by decoder-equivalence tests and FuzzDecodeEquivalence.
 //
 // Validation is shared and typed: self-loops (ErrSelfLoop), endpoints
 // outside [0,n) (ErrEdgeRange), and negative or absurd vertex counts
@@ -44,10 +48,12 @@ var (
 	// ErrVertexCount rejects a negative vertex count or one beyond
 	// MaxWireVertices.
 	ErrVertexCount = errors.New("invalid vertex count")
-	// errDuplicateKey rejects a JSON graph object that repeats "n" or
-	// "edges"; RFC 8259 leaves duplicate-member semantics undefined, and
-	// the streaming decoder refuses to guess.
-	errDuplicateKey = errors.New("duplicate key in graph object")
+	// ErrDuplicateMember rejects a JSON object that repeats a member the
+	// decoder reads: "n" or "edges" in a graph, any member of a request
+	// envelope read through JSONReader.Object. RFC 8259 leaves
+	// duplicate-member semantics undefined, and the streaming decoder
+	// refuses to guess where encoding/json lets the last one win.
+	ErrDuplicateMember = errors.New("duplicate member in JSON object")
 )
 
 // MaxWireVertices bounds the vertex count any decoder accepts (4M): a
@@ -194,45 +200,39 @@ func buildFromPairs(n int, pairs []int32) (*Graph, error) {
 // ---------------------------------------------------------------------------
 // streaming JSON scanner
 
-// decodeJSONGraph is the streaming decoder behind Graph.UnmarshalJSON.
-// It accepts exactly what the encoding/json reference accepts — member
-// order free, unknown members skipped, ASCII-fold key matching, null as
-// the usual no-op — except that duplicate "n"/"edges" members are
-// rejected (errDuplicateKey) instead of silently last-winning.
+// maxJSONDepth bounds the nesting of arrays and objects in one document,
+// counted from its top as encoding/json's scanner counts it, so a deep
+// body is rejected before the recursive readers can exhaust a stack.
+const maxJSONDepth = 10000
+
+// decodeJSONGraph is the streaming decoder behind Graph.UnmarshalJSON and
+// DecodeBody. It accepts exactly what the encoding/json reference accepts
+// — member order free, unknown members skipped, member names matched as
+// encoding/json matches them, null as the empty graph, nesting up to
+// encoding/json's depth bound — except that duplicate "n"/"edges" members
+// are rejected (ErrDuplicateMember) instead of silently last-winning.
 func decodeJSONGraph(data []byte) (*Graph, error) {
 	s := jsonScan{data: data}
 	s.skipWS()
-	if s.pos >= len(s.data) {
-		return nil, fmt.Errorf("graph: unexpected end of JSON input")
+	g, err := s.graph()
+	if err != nil {
+		return nil, err
 	}
-	switch s.data[s.pos] {
-	case '"':
-		// String form: a whole DIMACS document. encoding/json handles the
-		// string unescaping; the document itself takes the streaming path.
-		var doc string
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, err
-		}
-		return decodeDIMACS(doc)
-	case 'n':
+	if err := s.end(); err != nil {
+		return nil, err
+	}
+	if g == nil {
 		// A JSON null leaves the zero value, like encoding/json: an empty
 		// graph.
-		if err := s.literal("null"); err != nil {
-			return nil, err
-		}
-		if err := s.end(); err != nil {
-			return nil, err
-		}
 		return New(0), nil
-	case '{':
-		return s.object()
 	}
-	return nil, fmt.Errorf("graph: JSON graph must be an object, a DIMACS string, or null")
+	return g, nil
 }
 
 type jsonScan struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	depth int // arrays and objects open at pos
 }
 
 func (s *jsonScan) skipWS() {
@@ -247,14 +247,14 @@ func (s *jsonScan) skipWS() {
 }
 
 func (s *jsonScan) errAt(format string, args ...any) error {
-	return fmt.Errorf("graph: json offset %d: %s", s.pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("json offset %d: %s", s.pos, fmt.Sprintf(format, args...))
 }
 
 // end requires only trailing whitespace to remain.
 func (s *jsonScan) end() error {
 	s.skipWS()
 	if s.pos != len(s.data) {
-		return s.errAt("trailing data after graph document")
+		return s.errAt("trailing data after JSON value")
 	}
 	return nil
 }
@@ -267,75 +267,148 @@ func (s *jsonScan) literal(lit string) error {
 	return nil
 }
 
-// object parses the {"n","edges"} form into a graph.
-func (s *jsonScan) object() (*Graph, error) {
-	s.pos++ // '{'
-	ps := getPairScratch()
-	defer putPairScratch(ps)
-	var (
-		n        int64
-		nSeen    bool
-		edgeSeen bool
-		keyBuf   [64]byte
-	)
+// enter steps into the array or object opening at pos.
+func (s *jsonScan) enter() error {
+	if s.depth == maxJSONDepth {
+		return s.errAt("nesting exceeds depth %d", maxJSONDepth)
+	}
+	s.depth++
+	s.pos++
+	return nil
+}
+
+// members reads one object, calling member with each member's unescaped
+// key to read that member's value.
+func (s *jsonScan) members(member func(key []byte) error) error {
+	if s.pos >= len(s.data) || s.data[s.pos] != '{' {
+		return s.errAt("expected an object")
+	}
+	if err := s.enter(); err != nil {
+		return err
+	}
 	s.skipWS()
 	if s.pos < len(s.data) && s.data[s.pos] == '}' {
 		s.pos++
-	} else {
-		for {
-			s.skipWS()
-			key, err := s.key(keyBuf[:0])
-			if err != nil {
-				return nil, err
-			}
-			s.skipWS()
-			if s.pos >= len(s.data) || s.data[s.pos] != ':' {
-				return nil, s.errAt("expected ':' after object key")
-			}
+		s.depth--
+		return nil
+	}
+	for {
+		s.skipWS()
+		key, err := s.str(nil)
+		if err != nil {
+			return err
+		}
+		s.skipWS()
+		if s.pos >= len(s.data) || s.data[s.pos] != ':' {
+			return s.errAt("expected ':' after object key")
+		}
+		s.pos++
+		s.skipWS()
+		if err := member(key); err != nil {
+			return err
+		}
+		s.skipWS()
+		if s.pos >= len(s.data) {
+			return s.errAt("unexpected end of object")
+		}
+		switch s.data[s.pos] {
+		case ',':
 			s.pos++
-			s.skipWS()
-			switch {
-			case foldEq(key, "n"):
-				if nSeen {
-					return nil, fmt.Errorf("graph: %w: %q", errDuplicateKey, key)
-				}
-				nSeen = true
-				v, isNull, err := s.intOrNull()
-				if err != nil {
-					return nil, err
-				}
-				if !isNull {
-					n = v
-				}
-			case foldEq(key, "edges"):
-				if edgeSeen {
-					return nil, fmt.Errorf("graph: %w: %q", errDuplicateKey, key)
-				}
-				edgeSeen = true
-				if err := s.edges(ps); err != nil {
-					return nil, err
-				}
-			default:
-				if err := s.skipValue(); err != nil {
-					return nil, err
-				}
-			}
-			s.skipWS()
-			if s.pos >= len(s.data) {
-				return nil, s.errAt("unexpected end of object")
-			}
-			if s.data[s.pos] == ',' {
-				s.pos++
-				continue
-			}
-			if s.data[s.pos] == '}' {
-				s.pos++
-				break
-			}
-			return nil, s.errAt("expected ',' or '}' in object")
+		case '}':
+			s.pos++
+			s.depth--
+			return nil
+		default:
+			return s.errAt("expected ',' or '}' in object")
 		}
 	}
-	if err := s.end(); err != nil {
+}
+
+// elements reads one array, calling elem to read each element.
+func (s *jsonScan) elements(elem func() error) error {
+	if s.pos >= len(s.data) || s.data[s.pos] != '[' {
+		return s.errAt("expected an array")
+	}
+	if err := s.enter(); err != nil {
+		return err
+	}
+	s.skipWS()
+	if s.pos < len(s.data) && s.data[s.pos] == ']' {
+		s.pos++
+		s.depth--
+		return nil
+	}
+	for {
+		s.skipWS()
+		if err := elem(); err != nil {
+			return err
+		}
+		s.skipWS()
+		if s.pos >= len(s.data) {
+			return s.errAt("unexpected end of array")
+		}
+		switch s.data[s.pos] {
+		case ',':
+			s.pos++
+		case ']':
+			s.pos++
+			s.depth--
+			return nil
+		default:
+			return s.errAt("expected ',' or ']' in array")
+		}
+	}
+}
+
+// graph reads one graph value: the object form, a DIMACS document as a
+// JSON string, or null, which reads as no graph (nil).
+func (s *jsonScan) graph() (*Graph, error) {
+	if s.pos >= len(s.data) {
+		return nil, s.errAt("unexpected end of JSON input")
+	}
+	switch s.data[s.pos] {
+	case '"':
+		doc, err := s.str(nil)
+		if err != nil {
+			return nil, err
+		}
+		return decodeDIMACS(string(doc))
+	case 'n':
+		return nil, s.literal("null")
+	case '{':
+		return s.object()
+	}
+	return nil, s.errAt("graph must be an object, a DIMACS string, or null")
+}
+
+// object reads the {"n","edges"} form into a graph.
+func (s *jsonScan) object() (*Graph, error) {
+	ps := getPairScratch()
+	defer putPairScratch(ps)
+	var (
+		n               int64
+		nSeen, edgeSeen bool
+	)
+	err := s.members(func(key []byte) error {
+		switch {
+		case foldEq(key, "n"):
+			if nSeen {
+				return duplicate(key)
+			}
+			nSeen = true
+			var err error
+			n, err = s.integer()
+			return err
+		case foldEq(key, "edges"):
+			if edgeSeen {
+				return duplicate(key)
+			}
+			edgeSeen = true
+			return s.edges(ps)
+		}
+		return s.skipValue()
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := checkVertexCount(n); err != nil {
@@ -344,50 +417,80 @@ func (s *jsonScan) object() (*Graph, error) {
 	return buildFromPairs(int(n), ps.pairs)
 }
 
+func duplicate(key []byte) error {
+	return fmt.Errorf("%w %q", ErrDuplicateMember, key)
+}
+
 // edges parses the [[u,v],…] member into the flat pair buffer. A null
 // member is the usual no-op; a null edge element is a zero-length edge
 // (rejected later); a null endpoint is 0 — all matching what
-// encoding/json produces decoding into a fresh [][]int.
+// encoding/json produces decoding into a fresh [][]int. Elements written
+// [u,v] in the compact form an encoder emits take compactEdge's fast
+// path; everything else goes through edgeElement.
 func (s *jsonScan) edges(ps *pairScratch) error {
 	if s.pos < len(s.data) && s.data[s.pos] == 'n' {
 		return s.literal("null")
 	}
-	if s.pos >= len(s.data) || s.data[s.pos] != '[' {
-		return s.errAt("edges must be an array")
-	}
-	s.pos++
-	s.skipWS()
-	if s.pos < len(s.data) && s.data[s.pos] == ']' {
-		s.pos++
-		return nil
-	}
-	edge := 0
-	for {
-		s.skipWS()
-		if err := s.edgeElement(ps, edge); err != nil {
-			return err
-		}
-		edge++
-		s.skipWS()
-		if s.pos >= len(s.data) {
-			return s.errAt("unexpected end of edges array")
-		}
-		if s.data[s.pos] == ',' {
-			s.pos++
-			continue
-		}
-		if s.data[s.pos] == ']' {
-			s.pos++
+	return s.elements(func() error {
+		// An element array sits one level below the edges array.
+		if s.depth < maxJSONDepth && s.compactEdge(ps) {
 			return nil
 		}
-		return s.errAt("expected ',' or ']' in edges array")
+		return s.edgeElement(ps)
+	})
+}
+
+// compactDigits is the most digits compactEdge reads for one endpoint: a
+// value of six digits or fewer is below MaxWireVertices, so the fast path
+// never needs the general path's range check.
+const compactDigits = 6
+
+// compactEdge parses an edge element written exactly [u,v] — decimal
+// digits only, with no whitespace, sign or leading zero and at most
+// compactDigits digits an endpoint — straight into the pair buffer. On
+// any other element it reads nothing and reports false.
+func (s *jsonScan) compactEdge(ps *pairScratch) bool {
+	d, i := s.data, s.pos
+	if i >= len(d) || d[i] != '[' {
+		return false
 	}
+	u, i := compactEndpoint(d, i+1)
+	if u < 0 || i >= len(d) || d[i] != ',' {
+		return false
+	}
+	v, i := compactEndpoint(d, i+1)
+	if v < 0 || i >= len(d) || d[i] != ']' {
+		return false
+	}
+	ps.pairs = append(ps.pairs, u, v)
+	s.pos = i + 1
+	return true
+}
+
+// compactEndpoint parses the digits at d[i:] for compactEdge, returning
+// the value and the index after the digits, or -1 when the digits are
+// missing, have a leading zero or run past compactDigits.
+func compactEndpoint(d []byte, i int) (int32, int) {
+	start := i
+	var v int32
+	for ; i < len(d) && d[i]-'0' <= 9; i++ {
+		if i-start == compactDigits {
+			return -1, i
+		}
+		v = v*10 + int32(d[i]-'0')
+	}
+	if i == start || (d[start] == '0' && i-start > 1) {
+		return -1, i
+	}
+	return v, i
 }
 
 // edgeElement parses one [u,v] (or null) element, appending exactly one
 // endpoint pair or failing with the same has-N-endpoints error the
-// reference produces.
-func (s *jsonScan) edgeElement(ps *pairScratch, edge int) error {
+// reference produces. Errors number the element by its pair-buffer
+// position.
+func (s *jsonScan) edgeElement(ps *pairScratch) error {
+	edge := len(ps.pairs) / 2
 	if s.pos < len(s.data) && s.data[s.pos] == 'n' {
 		if err := s.literal("null"); err != nil {
 			return err
@@ -397,37 +500,18 @@ func (s *jsonScan) edgeElement(ps *pairScratch, edge int) error {
 	if s.pos >= len(s.data) || s.data[s.pos] != '[' {
 		return s.errAt("edge %d must be an array of two endpoints", edge)
 	}
-	s.pos++
-	s.skipWS()
 	var ends [2]int64
 	count := 0
-	if s.pos < len(s.data) && s.data[s.pos] == ']' {
-		s.pos++
-		return fmt.Errorf("graph: edge %d has 0 endpoints, want exactly 2", edge)
-	}
-	for {
-		s.skipWS()
-		v, isNull, err := s.intOrNull()
-		if err != nil {
-			return err
-		}
-		if count < 2 && !isNull {
+	err := s.elements(func() error {
+		v, err := s.integer()
+		if count < 2 {
 			ends[count] = v
 		}
 		count++
-		s.skipWS()
-		if s.pos >= len(s.data) {
-			return s.errAt("unexpected end of edge %d", edge)
-		}
-		if s.data[s.pos] == ',' {
-			s.pos++
-			continue
-		}
-		if s.data[s.pos] == ']' {
-			s.pos++
-			break
-		}
-		return s.errAt("expected ',' or ']' in edge %d", edge)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	if count != 2 {
 		return fmt.Errorf("graph: edge %d has %d endpoints, want exactly 2", edge, count)
@@ -443,13 +527,14 @@ func (s *jsonScan) edgeElement(ps *pairScratch, edge int) error {
 	return nil
 }
 
-// intOrNull parses a strict JSON integer (no fraction, no exponent,
-// int64 range — what encoding/json accepts into an int) or null. The
-// digits are accumulated in place; only a literal of more than 18 digits,
-// which may leave the int64 range, goes through strconv.ParseInt.
-func (s *jsonScan) intOrNull() (int64, bool, error) {
+// integer parses a strict JSON integer (no fraction, no exponent, int64
+// range — what encoding/json accepts into an int), or null, which reads
+// as 0 as it leaves a fresh int. The digits are accumulated in place;
+// only a literal of more than 18 digits, which may leave the int64 range,
+// goes through strconv.ParseInt.
+func (s *jsonScan) integer() (int64, error) {
 	if s.pos < len(s.data) && s.data[s.pos] == 'n' {
-		return 0, true, s.literal("null")
+		return 0, s.literal("null")
 	}
 	start := s.pos
 	if s.pos < len(s.data) && s.data[s.pos] == '-' {
@@ -463,7 +548,7 @@ func (s *jsonScan) intOrNull() (int64, bool, error) {
 		digits++
 	}
 	if digits == 0 {
-		return 0, false, s.errAt("expected an integer")
+		return 0, s.errAt("expected an integer")
 	}
 	// JSON forbids leading zeros ("01"), and a fraction or exponent is a
 	// valid number but not an integer.
@@ -474,45 +559,46 @@ func (s *jsonScan) intOrNull() (int64, bool, error) {
 		body = lit[1:]
 	}
 	if len(body) > 1 && body[0] == '0' {
-		return 0, false, s.errAt("invalid number literal %q", lit)
+		return 0, s.errAt("invalid number literal %q", lit)
 	}
 	if s.pos < len(s.data) {
 		switch s.data[s.pos] {
 		case '.', 'e', 'E':
-			return 0, false, s.errAt("number %q is not an integer", lit)
+			return 0, s.errAt("number %q is not an integer", lit)
 		}
 	}
 	if digits > 18 {
 		v, err := strconv.ParseInt(string(lit), 10, 64)
 		if err != nil {
-			return 0, false, s.errAt("integer %q out of range", lit)
+			return 0, s.errAt("integer %q out of range", lit)
 		}
-		return v, false, nil
+		return v, nil
 	}
 	if neg {
 		v = -v
 	}
-	return v, false, nil
+	return v, nil
 }
 
-// key parses an object key, returning its unescaped bytes (into buf when
-// they fit). Escape handling matches encoding/json: \uXXXX with
-// surrogate pairs, lone surrogates replaced by U+FFFD.
-func (s *jsonScan) key(buf []byte) ([]byte, error) {
+// str parses a JSON string and returns its unescaped bytes: a subslice
+// of the input when the string is plain ASCII, else bytes appended to
+// buf. Decoding matches encoding/json: \uXXXX with surrogate pairs, lone
+// surrogates and invalid UTF-8 replaced by U+FFFD.
+func (s *jsonScan) str(buf []byte) ([]byte, error) {
 	if s.pos >= len(s.data) || s.data[s.pos] != '"' {
-		return nil, s.errAt("expected object key")
+		return nil, s.errAt("expected a string")
 	}
 	s.pos++
 	start := s.pos
-	// Fast path: no escapes.
+	// Fast path: plain ASCII, no escapes.
 	for s.pos < len(s.data) {
 		c := s.data[s.pos]
 		if c == '"' {
-			key := s.data[start:s.pos]
+			out := s.data[start:s.pos]
 			s.pos++
-			return key, nil
+			return out, nil
 		}
-		if c == '\\' {
+		if c == '\\' || c >= utf8.RuneSelf {
 			break
 		}
 		if c < 0x20 {
@@ -520,12 +606,9 @@ func (s *jsonScan) key(buf []byte) ([]byte, error) {
 		}
 		s.pos++
 	}
-	// Slow path: unescape from the beginning.
-	s.pos = start
-	out := buf
+	out := append(buf, s.data[start:s.pos]...)
 	for s.pos < len(s.data) {
-		c := s.data[s.pos]
-		switch {
+		switch c := s.data[s.pos]; {
 		case c == '"':
 			s.pos++
 			return out, nil
@@ -538,9 +621,17 @@ func (s *jsonScan) key(buf []byte) ([]byte, error) {
 			out = utf8.AppendRune(out, r)
 		case c < 0x20:
 			return nil, s.errAt("control character in string")
-		default:
+		case c < utf8.RuneSelf:
 			out = append(out, c)
 			s.pos++
+		default:
+			r, size := utf8.DecodeRune(s.data[s.pos:])
+			if r == utf8.RuneError && size == 1 {
+				out = utf8.AppendRune(out, utf8.RuneError)
+			} else {
+				out = append(out, s.data[s.pos:s.pos+size]...)
+			}
+			s.pos += size
 		}
 	}
 	return nil, s.errAt("unterminated string")
@@ -619,82 +710,23 @@ func (s *jsonScan) skipValue() error {
 	if s.pos >= len(s.data) {
 		return s.errAt("unexpected end of input")
 	}
-	switch c := s.data[s.pos]; {
-	case c == '{':
-		s.pos++
-		s.skipWS()
-		if s.pos < len(s.data) && s.data[s.pos] == '}' {
-			s.pos++
-			return nil
-		}
-		for {
-			s.skipWS()
-			var kb [16]byte
-			if _, err := s.key(kb[:0]); err != nil {
-				return err
-			}
-			s.skipWS()
-			if s.pos >= len(s.data) || s.data[s.pos] != ':' {
-				return s.errAt("expected ':' in object")
-			}
-			s.pos++
-			s.skipWS()
-			if err := s.skipValue(); err != nil {
-				return err
-			}
-			s.skipWS()
-			if s.pos >= len(s.data) {
-				return s.errAt("unexpected end of object")
-			}
-			if s.data[s.pos] == ',' {
-				s.pos++
-				continue
-			}
-			if s.data[s.pos] == '}' {
-				s.pos++
-				return nil
-			}
-			return s.errAt("expected ',' or '}' in object")
-		}
-	case c == '[':
-		s.pos++
-		s.skipWS()
-		if s.pos < len(s.data) && s.data[s.pos] == ']' {
-			s.pos++
-			return nil
-		}
-		for {
-			s.skipWS()
-			if err := s.skipValue(); err != nil {
-				return err
-			}
-			s.skipWS()
-			if s.pos >= len(s.data) {
-				return s.errAt("unexpected end of array")
-			}
-			if s.data[s.pos] == ',' {
-				s.pos++
-				continue
-			}
-			if s.data[s.pos] == ']' {
-				s.pos++
-				return nil
-			}
-			return s.errAt("expected ',' or ']' in array")
-		}
-	case c == '"':
+	switch s.data[s.pos] {
+	case '{':
+		return s.members(func([]byte) error { return s.skipValue() })
+	case '[':
+		return s.elements(s.skipValue)
+	case '"':
 		var kb [16]byte
-		_, err := s.key(kb[:0])
+		_, err := s.str(kb[:0])
 		return err
-	case c == 't':
+	case 't':
 		return s.literal("true")
-	case c == 'f':
+	case 'f':
 		return s.literal("false")
-	case c == 'n':
+	case 'n':
 		return s.literal("null")
-	default:
-		return s.skipNumber()
 	}
+	return s.skipNumber()
 }
 
 // skipNumber validates one JSON number (full grammar — skipped values
@@ -753,6 +785,121 @@ func (s *jsonScan) skipNumber() error {
 func foldEq(key []byte, name string) bool {
 	return strings.EqualFold(string(key), name)
 }
+
+// ---------------------------------------------------------------------------
+// JSONReader: the scanner for request envelopes
+
+// JSONReader reads one JSON document in a single forward pass, for the
+// decoders of request envelopes that carry a graph: objects with a fixed
+// set of members, arrays, strings, integers, booleans, null, and graph
+// values built in place by the graph decoder. It shares that decoder's
+// scanner, so a whole body is scanned once under one set of rules,
+// including the depth bound. Nothing it returns refers to the
+// document's bytes.
+//
+// A null read by Str, Int or Bool gives that type's zero value, which is
+// what encoding/json leaves in a fresh field; Null tells a null apart
+// where a pointer or slice must stay nil.
+type JSONReader struct{ s jsonScan }
+
+// NewJSONReader returns a reader at the start of data.
+func NewJSONReader(data []byte) JSONReader { return JSONReader{s: jsonScan{data: data}} }
+
+// Null reads a null if one comes next and reports whether it did.
+func (r *JSONReader) Null() (bool, error) {
+	r.s.skipWS()
+	if r.s.pos < len(r.s.data) && r.s.data[r.s.pos] == 'n' {
+		return true, r.s.literal("null")
+	}
+	return false, nil
+}
+
+// Object reads an object whose member names are drawn from names (at
+// most 64), calling member with the matched name to read each member's
+// value. A key matches as encoding/json matches struct fields: exactly,
+// else under case folding. An unknown member is rejected, and so is a
+// repeated one (ErrDuplicateMember).
+func (r *JSONReader) Object(names []string, member func(name string) error) error {
+	r.s.skipWS()
+	var seen uint64
+	return r.s.members(func(key []byte) error {
+		i := -1
+		for j, name := range names {
+			if string(key) == name {
+				i = j
+				break
+			}
+		}
+		for j := 0; i < 0 && j < len(names); j++ {
+			if foldEq(key, names[j]) {
+				i = j
+			}
+		}
+		if i < 0 {
+			return r.s.errAt("unknown member %q", key)
+		}
+		if seen&(1<<i) != 0 {
+			return duplicate(key)
+		}
+		seen |= 1 << i
+		return member(names[i])
+	})
+}
+
+// Array reads an array, calling elem to read each element.
+func (r *JSONReader) Array(elem func() error) error {
+	r.s.skipWS()
+	return r.s.elements(elem)
+}
+
+// Str reads a string, decoded as encoding/json decodes one (invalid
+// UTF-8 becomes U+FFFD).
+func (r *JSONReader) Str() (string, error) {
+	if null, err := r.Null(); null || err != nil {
+		return "", err
+	}
+	b, err := r.s.str(nil)
+	return string(b), err
+}
+
+// Int reads an integer that fits a signed Go integer of the given bit
+// size; a fraction, an exponent or a value out of range is rejected.
+func (r *JSONReader) Int(bitSize int) (int64, error) {
+	r.s.skipWS()
+	v, err := r.s.integer()
+	if err == nil && bitSize < 64 && (v < -1<<(bitSize-1) || v >= 1<<(bitSize-1)) {
+		return 0, r.s.errAt("integer %d out of range for int%d", v, bitSize)
+	}
+	return v, err
+}
+
+// Bool reads true or false.
+func (r *JSONReader) Bool() (bool, error) {
+	s := &r.s
+	s.skipWS()
+	if s.pos < len(s.data) {
+		switch s.data[s.pos] {
+		case 't':
+			return true, s.literal("true")
+		case 'f':
+			return false, s.literal("false")
+		case 'n':
+			return false, s.literal("null")
+		}
+	}
+	return false, s.errAt("expected a boolean")
+}
+
+// Graph reads a graph value — the object form, a DIMACS document as a
+// JSON string, or null, which reads as no graph (nil) — building the
+// graph as the scan passes over it.
+func (r *JSONReader) Graph() (*Graph, error) {
+	r.s.skipWS()
+	return r.s.graph()
+}
+
+// End reports an error unless only whitespace remains.
+func (r *JSONReader) End() error { return r.s.end() }
 
 // ---------------------------------------------------------------------------
 // streaming DIMACS

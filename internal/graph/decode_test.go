@@ -135,8 +135,8 @@ func TestStreamingDecoderTypedErrors(t *testing.T) {
 		{`"p edge 3 1\ne 1 9"`, ErrEdgeRange},
 		{`"p edge -2 0"`, ErrVertexCount},
 		{`"3 1\n1 1"`, ErrSelfLoop},
-		{`{"n":2,"edges":[[0,1]],"n":2}`, errDuplicateKey},
-		{`{"edges":[],"edges":[]}`, errDuplicateKey},
+		{`{"n":2,"edges":[[0,1]],"n":2}`, ErrDuplicateMember},
+		{`{"edges":[],"edges":[]}`, ErrDuplicateMember},
 	}
 	for _, c := range cases {
 		var g Graph
@@ -187,6 +187,23 @@ func TestDIMACSValidationMatchesJSON(t *testing.T) {
 // TestDecodedGraphIsMutable guards the CSR-direct construction: the
 // adjacency headers alias one flat array, so a post-decode AddEdge must
 // reallocate rather than corrupt a sibling's segment.
+// TestDecodeDepthBound pins nesting at encoding/json's bound of 10000
+// levels, counted from the top of the document, and checks that a body
+// nested far beyond it fails fast instead of recursing once per level.
+func TestDecodeDepthBound(t *testing.T) {
+	member := func(depth int) []byte {
+		return []byte(`{"n":1,"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`)
+	}
+	for depth, ok := range map[int]bool{9999: true, 10000: false, 1 << 20: false} {
+		body := member(depth) // the object adds one level
+		_, refErr := decodeJSONReference(body)
+		_, gotErr := decodeJSONGraph(body)
+		if (refErr == nil) != ok || (gotErr == nil) != ok {
+			t.Errorf("%d levels: streaming err %v, reference err %v; want accepted=%v", depth+1, gotErr, refErr, ok)
+		}
+	}
+}
+
 func TestDecodedGraphIsMutable(t *testing.T) {
 	var g Graph
 	if err := g.UnmarshalJSON([]byte(`{"n":4,"edges":[[0,1],[2,3]]}`)); err != nil {
@@ -224,10 +241,20 @@ func FuzzDecodeEquivalence(f *testing.F) {
 	f.Add([]byte(`{"n":02,"edges":[[0,1]]}`))
 	f.Add([]byte(`{"n":3,"edges":[[00,1],[-01,2]]}`))
 	f.Add([]byte(`{"n":000000000000000000003}`))
+	// Edge elements on both sides of the compact [u,v] fast path: a
+	// leading zero, a sign, whitespace or a fraction sends an element to
+	// the general parser, and so does a 7- or 8-digit endpoint.
+	f.Add([]byte(`{"n":3,"edges":[[01,2]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[-0,1],[1,2]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[ 1,2],[0,1 ],[0,2]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[1,2.0]]}`))
+	f.Add([]byte(`{"n":1000001,"edges":[[999999,1000000],[0,999999]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[0,1000000]]}`))
+	f.Add([]byte(`{"n":3,"edges":[[12345678,1]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ref, refErr := decodeJSONReference(body)
 		got, gotErr := decodeJSONGraph(body)
-		if errors.Is(gotErr, errDuplicateKey) {
+		if errors.Is(gotErr, ErrDuplicateMember) {
 			// The streaming decoder deliberately tightens duplicate-member
 			// bodies (the reference last-wins); outside the contract.
 			return

@@ -21,10 +21,12 @@ import (
 // Decoding runs on the streaming decoder (decode.go): the object form is
 // scanned byte-by-byte into pooled flat edge buffers and assembled
 // directly in CSR shape, with no intermediate [][]int and no per-edge
-// allocations. decodeJSONReference below is the retained encoding/json
-// implementation; the two are pinned bit-identical (CSR arrays and
-// fingerprint) on every accepted body by the decoder-equivalence tests
-// and FuzzDecodeEquivalence.
+// allocations. The same scanner reads graphs embedded in the service's
+// request envelopes (JSONReader.Graph), so encoding/json never scans a
+// request body's graph. decodeJSONReference below is the retained
+// encoding/json implementation; the two are pinned bit-identical (CSR
+// arrays and fingerprint) on every accepted body by the
+// decoder-equivalence tests and FuzzDecodeEquivalence.
 
 // jsonGraph is the object wire form of the reference decoder. Edges
 // decode as [][]int, not [][2]int: encoding/json zero-fills or truncates

@@ -32,6 +32,17 @@ func checkMatching(t *testing.T, mate []int) {
 	}
 }
 
+// matchedWeight sums w over the matched pairs of mate.
+func matchedWeight(mate []int, w func(i, j int) int64) int64 {
+	var total int64
+	for v, u := range mate {
+		if v < u {
+			total += w(v, u)
+		}
+	}
+	return total
+}
+
 func TestMaxWeightMatchingTiny(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -224,7 +235,7 @@ func TestMinWeightPerfectVsBruteForce(t *testing.T) {
 			}
 		}
 		wf := func(i, j int) int64 { return w[i][j] }
-		mate, total, err := MinWeightPerfectSparse(n, completeEdges(n, wf))
+		mate, err := MinWeightPerfectSparse(n, completeEdges(n, wf))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -235,7 +246,7 @@ func TestMinWeightPerfectVsBruteForce(t *testing.T) {
 			}
 		}
 		_, want := BruteForceMinPerfect(n, wf)
-		if total != want {
+		if total := matchedWeight(mate, wf); total != want {
 			t.Fatalf("trial %d: n=%d blossom total %d != brute force %d", trial, n, total, want)
 		}
 	}
@@ -260,19 +271,19 @@ func TestMinWeightPerfectMetric(t *testing.T) {
 			}
 		}
 		wf := func(i, j int) int64 { return w[i][j] }
-		_, total, err := MinWeightPerfectSparse(n, completeEdges(n, wf))
+		mate, err := MinWeightPerfectSparse(n, completeEdges(n, wf))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, want := BruteForceMinPerfect(n, wf)
-		if total != want {
+		if total := matchedWeight(mate, wf); total != want {
 			t.Fatalf("trial %d: got %d want %d", trial, total, want)
 		}
 	}
 }
 
 func TestMinWeightPerfectOddN(t *testing.T) {
-	if _, _, err := MinWeightPerfectSparse(3, completeEdges(3, func(i, j int) int64 { return 1 })); err == nil {
+	if _, err := MinWeightPerfectSparse(3, completeEdges(3, func(i, j int) int64 { return 1 })); err == nil {
 		t.Fatal("expected error for odd n")
 	}
 }
@@ -281,19 +292,28 @@ func TestMinWeightPerfectSparseInfeasible(t *testing.T) {
 	// A path on 4 vertices 0-1-2-3 missing 1-2: no perfect matching of
 	// {0-1, 2-3} exists if we delete 0-1... build a star: K_{1,3}.
 	edges := []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}}
-	if _, _, err := MinWeightPerfectSparse(4, edges); err == nil {
+	if _, err := MinWeightPerfectSparse(4, edges); err == nil {
 		t.Fatal("expected infeasibility error for a star on 4 vertices")
 	}
 }
 
 func TestMinWeightPerfectSparseFeasible(t *testing.T) {
 	edges := []Edge{{0, 1, 3}, {1, 2, 1}, {2, 3, 3}, {3, 0, 1}}
-	mate, total, err := MinWeightPerfectSparse(4, edges)
+	mate, err := MinWeightPerfectSparse(4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMatching(t, mate)
-	if total != 2 {
+	w := func(i, j int) int64 {
+		for _, e := range edges {
+			if (e.I == i && e.J == j) || (e.I == j && e.J == i) {
+				return e.W
+			}
+		}
+		t.Fatalf("matched pair {%d,%d} is not an edge", i, j)
+		return 0
+	}
+	if total := matchedWeight(mate, w); total != 2 {
 		t.Fatalf("cycle matching total = %d, want 2 (edges 1-2 and 3-0)", total)
 	}
 }

@@ -4,25 +4,24 @@ import "fmt"
 
 // MinWeightPerfectSparse computes a minimum-weight perfect matching over an
 // explicit edge list (the graph need not be complete) with weights ≥ 0. It
-// returns mate[v] = partner of v and the total weight, and errors on odd
-// n, a negative weight, or when no perfect matching exists; n = 0 yields a
-// nil mate.
+// returns mate[v] = partner of v, and errors on odd n, a negative weight,
+// or when no perfect matching exists; n = 0 yields a nil mate.
 //
 // Implementation: maximum-weight maximum-cardinality matching on the
 // complement weights maxW − w (maxW = largest weight). Max-cardinality
 // mode prefers perfect matchings, and since every perfect matching has
 // exactly n/2 edges, maximizing Σ(maxW − w) among them minimizes Σw.
-func MinWeightPerfectSparse(n int, edges []Edge) (mate []int, total int64, err error) {
+func MinWeightPerfectSparse(n int, edges []Edge) ([]int, error) {
 	if n%2 != 0 {
-		return nil, 0, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
+		return nil, fmt.Errorf("matching: perfect matching needs even n, got %d", n)
 	}
 	if n == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	var maxW int64
 	for _, e := range edges {
 		if e.W < 0 {
-			return nil, 0, fmt.Errorf("matching: negative weight w(%d,%d)=%d", e.I, e.J, e.W)
+			return nil, fmt.Errorf("matching: negative weight w(%d,%d)=%d", e.I, e.J, e.W)
 		}
 		maxW = max(maxW, e.W)
 	}
@@ -30,28 +29,13 @@ func MinWeightPerfectSparse(n int, edges []Edge) (mate []int, total int64, err e
 	for k, e := range edges {
 		comp[k] = Edge{e.I, e.J, maxW - e.W}
 	}
-	mate = MaxWeightMatching(n, comp, true)
+	mate := MaxWeightMatching(n, comp, true)
 	for v, u := range mate {
 		if u < 0 {
-			return nil, 0, fmt.Errorf("matching: no perfect matching exists (vertex %d unmatched)", v)
+			return nil, fmt.Errorf("matching: no perfect matching exists (vertex %d unmatched)", v)
 		}
 	}
-	wOf := make(map[[2]int]int64, len(edges))
-	for _, e := range edges {
-		a, b := e.I, e.J
-		if a > b {
-			a, b = b, a
-		}
-		if old, ok := wOf[[2]int{a, b}]; !ok || e.W < old {
-			wOf[[2]int{a, b}] = e.W
-		}
-	}
-	for v, u := range mate {
-		if v < u {
-			total += wOf[[2]int{v, u}]
-		}
-	}
-	return mate, total, nil
+	return mate, nil
 }
 
 // BruteForceMinPerfect computes a minimum-weight perfect matching by

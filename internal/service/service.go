@@ -505,37 +505,59 @@ func (s *Server) replyError(w http.ResponseWriter, err error, format string, arg
 	jsonErrorCode(w, status, code, format, args...)
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			jsonError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
-		jsonError(w, http.StatusBadRequest, "bad request: %v", err)
-		return false
+// Request bodies are read into pooled buffers. The decoders copy every
+// string out and build graphs from pairs, so no request refers to its
+// buffer once the body is decoded, and the buffer goes straight back.
+type bodyBuf struct{ b []byte }
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// maxRetainedBody caps the buffers the pool keeps, and the size a
+// Content-Length header may pre-size one to: the header alone cannot
+// make the server allocate a large buffer before any bytes arrive.
+const maxRetainedBody = 1 << 20
+
+func putBody(b *bodyBuf) {
+	if cap(b.b) > maxRetainedBody {
+		return
 	}
-	return true
+	bodyPool.Put(b)
 }
 
-// readBody slurps the request body under the server's byte limit,
-// writing the 413/400 response itself on failure.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// readBody reads the request body under the server's byte limit into a
+// pooled buffer, writing the 413/400 response itself on failure. The
+// caller hands the buffer back with putBody once the body is decoded.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bodyBuf, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			jsonError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			jsonError(w, http.StatusBadRequest, "bad request: %v", err)
-		}
-		return nil, false
+	b := bodyPool.Get().(*bodyBuf)
+	// One byte past the body leaves room for the read that sees EOF.
+	if size := min(r.ContentLength+1, s.cfg.MaxBodyBytes+1, maxRetainedBody); size > int64(cap(b.b)) {
+		b.b = make([]byte, 0, size)
 	}
-	return data, true
+	buf := b.b[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.b = buf
+			putBody(b)
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				jsonError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			} else {
+				jsonError(w, http.StatusBadRequest, "bad request: %v", err)
+			}
+			return nil, false
+		}
+	}
+	b.b = buf
+	return b, true
 }
 
 // handleGraphs serves POST /v1/graphs: parse the body as a bare graph —
@@ -547,7 +569,8 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g, rest, err := graph.DecodeBody(r.Header.Get("Content-Type"), body)
+	g, rest, err := graph.DecodeBody(r.Header.Get("Content-Type"), body.b)
+	putBody(body)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -588,42 +611,23 @@ func (s *Server) handleGraphHead(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// decodeSolve decodes a /v1/solve body in either transport: the JSON
-// SolveRequest, or — under Content-Type application/x-lpl-graph — a
-// binary graph frame followed by the JSON envelope for everything else
-// ({"p":…, "options":…}), which skips the dominant cost of large solve
-// bodies (the edge-list JSON) entirely.
+// decodeSolve reads a /v1/solve body into a pooled buffer and decodes it
+// in one pass (DecodeSolveBody): the JSON SolveRequest, or — under
+// Content-Type application/x-lpl-graph — a binary graph frame followed by
+// the JSON envelope for everything else ({"p":…, "options":…}), which
+// skips the dominant cost of large solve bodies (the edge-list JSON)
+// entirely. Any decode error is a 400.
 func (s *Server) decodeSolve(w http.ResponseWriter, r *http.Request, req *SolveRequest) bool {
-	ct := graph.MediaType(r.Header.Get("Content-Type"))
-	if ct != graph.BinaryContentType {
-		return s.decode(w, r, req)
-	}
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return false
 	}
-	g, rest, err := graph.DecodeBody(ct, body)
+	err := DecodeSolveBody(r.Header.Get("Content-Type"), body.b, req)
+	putBody(body)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	if len(bytes.TrimSpace(rest)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(rest))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			jsonError(w, http.StatusBadRequest, "bad solve envelope after graph frame: %v", err)
-			return false
-		}
-		if dec.More() {
-			jsonError(w, http.StatusBadRequest, "trailing data after solve envelope")
-			return false
-		}
-		if req.Graph != nil || req.GraphRef != "" {
-			jsonError(w, http.StatusBadRequest, "binary solve body already carries the graph; envelope must not")
-			return false
-		}
-	}
-	req.Graph = g
 	return true
 }
 
@@ -782,8 +786,15 @@ const PeerFillHeader = "X-Lpl-Peer-Fill"
 // a silently shrunken stream), then streamed through core.SolveBatch and
 // written back as NDJSON in completion order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req BatchRequest
-	if !s.decode(w, r, &req) {
+	err := DecodeBatchRequest(body.b, &req)
+	putBody(body)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	if len(req.Items) == 0 {

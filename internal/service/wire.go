@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"lpltsp/internal/core"
@@ -15,6 +18,12 @@ import (
 // JSON codec (object form {"n":…,"edges":[[u,v],…]} or a DIMACS document
 // as a JSON string), so the same files the CLIs read can be pasted into
 // requests.
+//
+// Request bodies are decoded in one pass by the decoders at the end of
+// this file, on the graph package's streaming scanner (graph.JSONReader):
+// the envelope and the graph inside it are read in a single scan, and
+// the graph is built as the scan reaches it. The json tags below are the
+// encoding side, and the contract the decoders keep.
 
 // SolveRequest is the body of POST /v1/solve and one element of a
 // BatchRequest.
@@ -465,4 +474,182 @@ type HealthResponse struct {
 type ReadyResponse struct {
 	Ready  bool   `json:"ready"`
 	Reason string `json:"reason,omitempty"`
+}
+
+// ---------------------------------------------------------------------------
+// one-pass request decoding
+
+// The decoders below accept exactly what a strict encoding/json Decoder
+// (DisallowUnknownFields) accepts into these types, with the same
+// result: unknown members are rejected at every level (inside a graph
+// object they are skipped, as Graph.UnmarshalJSON always did), member
+// names match as encoding/json matches them (exactly, else under case
+// folding), a null leaves a scalar at its zero value and a pointer or
+// slice nil, integers must fit their Go type, and nesting deeper than
+// encoding/json's 10000 levels, counted from the top of the body, is
+// rejected. One difference is deliberate: a repeated member is rejected
+// (graph.ErrDuplicateMember) where encoding/json lets the last one win.
+// Every decoder fills a zero value, and nothing decoded refers to the
+// body's bytes, so the caller may reuse them at once. FuzzRequestDecode
+// pins the contract against encoding/json.
+
+// Member names of the decoded types, as their json tags spell them.
+var (
+	solveMembers   = []string{"id", "graph", "graphRef", "p", "options", "tenant", "explain"}
+	optionsMembers = []string{"method", "algorithm", "engines", "verify", "noCache", "deadlineMs"}
+	batchMembers   = []string{"items", "options", "workers", "tenant"}
+)
+
+// DecodeSolveBody decodes a POST /v1/solve body by its Content-Type into
+// req, which must be zero. A JSON body (any type but the binary one) is a
+// SolveRequest; as with encoding/json's Decoder only its first value is
+// read, and bytes after it are ignored. Under application/x-lpl-graph
+// the body is a binary graph frame, optionally followed by the JSON
+// envelope for everything else ({"p":…, "options":…}), which must then
+// be the last thing in the body and must not name a graph of its own.
+func DecodeSolveBody(contentType string, body []byte, req *SolveRequest) error {
+	ct := graph.MediaType(contentType)
+	if ct != graph.BinaryContentType {
+		r := graph.NewJSONReader(body)
+		if err := readSolve(&r, req); err != nil {
+			return fmt.Errorf("bad request: %w", err)
+		}
+		return nil
+	}
+	g, rest, err := graph.DecodeBody(ct, body)
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimSpace(rest)) > 0 {
+		r := graph.NewJSONReader(rest)
+		if err := readSolve(&r, req); err != nil {
+			return fmt.Errorf("bad solve envelope after graph frame: %w", err)
+		}
+		if r.End() != nil {
+			return errors.New("trailing data after solve envelope")
+		}
+		if req.Graph != nil || req.GraphRef != "" {
+			return errors.New("binary solve body already carries the graph; envelope must not")
+		}
+	}
+	req.Graph = g
+	return nil
+}
+
+// DecodeBatchRequest decodes the first JSON value of a POST /v1/batch
+// body into req, which must be zero; bytes after it are ignored, as with
+// encoding/json's Decoder.
+func DecodeBatchRequest(body []byte, req *BatchRequest) error {
+	r := graph.NewJSONReader(body)
+	if null, err := r.Null(); null || err != nil {
+		return err
+	}
+	return r.Object(batchMembers, func(name string) (err error) {
+		switch name {
+		case "items":
+			req.Items, err = readItems(&r)
+		case "options":
+			req.Options, err = readOptions(&r)
+		case "workers":
+			var v int64
+			v, err = r.Int(strconv.IntSize)
+			req.Workers = int(v)
+		case "tenant":
+			req.Tenant, err = r.Str()
+		}
+		return err
+	})
+}
+
+// readSolve reads one SolveRequest value (null leaves req zero).
+func readSolve(r *graph.JSONReader, req *SolveRequest) error {
+	if null, err := r.Null(); null || err != nil {
+		return err
+	}
+	return r.Object(solveMembers, func(name string) (err error) {
+		switch name {
+		case "id":
+			req.ID, err = r.Str()
+		case "graph":
+			req.Graph, err = r.Graph()
+		case "graphRef":
+			req.GraphRef, err = r.Str()
+		case "p":
+			req.P, err = readVector(r)
+		case "options":
+			req.Options, err = readOptions(r)
+		case "tenant":
+			req.Tenant, err = r.Str()
+		case "explain":
+			req.Explain, err = r.Bool()
+		}
+		return err
+	})
+}
+
+func readItems(r *graph.JSONReader) ([]SolveRequest, error) {
+	if null, err := r.Null(); null || err != nil {
+		return nil, err
+	}
+	items := []SolveRequest{}
+	err := r.Array(func() error {
+		items = append(items, SolveRequest{})
+		return readSolve(r, &items[len(items)-1])
+	})
+	return items, err
+}
+
+func readOptions(r *graph.JSONReader) (*WireOptions, error) {
+	if null, err := r.Null(); null || err != nil {
+		return nil, err
+	}
+	o := new(WireOptions)
+	return o, r.Object(optionsMembers, func(name string) (err error) {
+		switch name {
+		case "method":
+			o.Method, err = r.Str()
+		case "algorithm":
+			o.Algorithm, err = r.Str()
+		case "engines":
+			o.Engines, err = readStrings(r)
+		case "verify":
+			var null bool
+			if null, err = r.Null(); null || err != nil {
+				return err
+			}
+			o.Verify = new(bool)
+			*o.Verify, err = r.Bool()
+		case "noCache":
+			o.NoCache, err = r.Bool()
+		case "deadlineMs":
+			o.DeadlineMs, err = r.Int(64)
+		}
+		return err
+	})
+}
+
+func readVector(r *graph.JSONReader) (labeling.Vector, error) {
+	if null, err := r.Null(); null || err != nil {
+		return nil, err
+	}
+	p := labeling.Vector{}
+	err := r.Array(func() error {
+		v, err := r.Int(strconv.IntSize)
+		p = append(p, int(v))
+		return err
+	})
+	return p, err
+}
+
+func readStrings(r *graph.JSONReader) ([]string, error) {
+	if null, err := r.Null(); null || err != nil {
+		return nil, err
+	}
+	out := []string{}
+	err := r.Array(func() error {
+		v, err := r.Str()
+		out = append(out, v)
+		return err
+	})
+	return out, err
 }

@@ -52,7 +52,7 @@ func christofidesPath(ctx context.Context, ins *Instance) (Tour, int64, error) {
 	if canceled(ctx) {
 		return nil, 0, ctx.Err()
 	}
-	mate, _, err := matching.MinWeightPerfectSparse(k+2, sparse)
+	mate, err := matching.MinWeightPerfectSparse(k+2, sparse)
 	if err != nil {
 		return nil, 0, fmt.Errorf("tsp: christofides-path matching: %w", err)
 	}
